@@ -10,7 +10,9 @@ already aggregates several stochastic replications.
 The harness also maintains the swarm-kernel throughput baseline: after any
 benchmark session (and from ``python benchmarks/conftest.py`` directly), the
 events-per-second of both simulation backends is measured on two workloads —
-the reference homogeneous 10k-peer, ``K = 10`` one-club workload and a
+the reference homogeneous 10k-peer, ``K = 10`` one-club workload, a
+*stable* workload (the stable-side Theorem-1 point, ~650 peers, mostly real
+transfers — the only kernel section outside the captured regime), a
 scenario workload (heterogeneous fast/slow classes plus a flash-crowd
 arrival pulse) exercising the scenario code path — plus an *overlay*
 workload (the same one-club shape on a degree-8 tracker overlay, so the
@@ -95,6 +97,27 @@ SCENARIO_BENCH_WORKLOAD = {
     "seed": 7,
 }
 
+#: The stable-regime workload of the baseline (``stable``): the
+#: ``trial-stable`` point of the repository benchmark — a flash crowd on the
+#: stable side of the Theorem-1 boundary (λ = 50 < U_s / (1 − µ/γ) = 60),
+#: started empty.  The first ``warmup_events`` (the ramp-up to ~650 peers)
+#: run untimed; the timed window is the next ``max_events - warmup_events``
+#: events, mostly real transfers, so the array kernel's scalar dispatch and
+#: its batch-probe gate are the hot path (every other kernel section is a
+#: captured one-club).
+STABLE_BENCH_WORKLOAD = {
+    "num_pieces": 10,
+    "arrival_rate": 50.0,
+    "seed_rate": 30.0,
+    "peer_rate": 1.0,
+    "seed_departure_rate": 2.0,
+    "horizon": 200.0,
+    "sample_interval": 0.5,
+    "warmup_events": 10_000,
+    "max_events": 50_000,
+    "seed": 7,
+}
+
 #: The overlay workload of the baseline (``swarm.overlay``): the reference
 #: one-club shape with contacts restricted to a degree-8 tracker overlay, so
 #: the per-contact neighbor draw (object backend) and the adjacency gather in
@@ -175,6 +198,7 @@ BENCH_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_swarm.json"
 # smoke benchmarks), reused by emit_bench_baseline so the recorded baseline
 # matches the asserted numbers and the workloads are not simulated twice.
 _session_measurements: dict = {}
+_stable_measurements: dict = {}
 _scenario_measurements: dict = {}
 _overlay_measurements: dict = {}
 _gossip_measurements: dict = {}
@@ -207,7 +231,9 @@ def _measure_throughput(spec: dict, backend: str, scenario=None) -> dict:
     figure — robust against one-off timer / scheduler noise.  ``spec`` must
     be stopped by its event cap (events/sec assumes the run was cut off at
     ``max_events``; a horizon-bound run would silently overstate the
-    throughput).
+    throughput).  A spec without ``initial_one_club`` starts empty; one
+    with ``warmup_events`` runs that many events untimed first (suspended
+    and resumed, which leaves the trajectory unchanged) and times the rest.
     """
     from repro.core.parameters import SystemParameters
     from repro.core.state import SystemState
@@ -224,19 +250,27 @@ def _measure_throughput(spec: dict, backend: str, scenario=None) -> dict:
             seed_departure_rate=spec["seed_departure_rate"],
         )
     )
-    initial = SystemState.one_club(spec["num_pieces"], spec["initial_one_club"])
+    club = spec.get("initial_one_club")
+    initial = SystemState.one_club(spec["num_pieces"], club) if club else None
+    warmup = spec.get("warmup_events", 0)
+    timed_events = spec["max_events"] - warmup
     timings = []
-    result = None
+    result = simulator = None
     for _ in range(BENCH_REPETITIONS):
         simulator = make_simulator(
             params, seed=spec["seed"], backend=backend, scenario=scenario
         )
+        run_kwargs = dict(
+            initial_state=initial, sample_interval=spec["sample_interval"]
+        )
+        if warmup:
+            simulator.run(
+                spec["horizon"], suspend_after_events=warmup, **run_kwargs
+            )
+            run_kwargs = dict(resume=True)
         start = time.perf_counter()
         result = simulator.run(
-            spec["horizon"],
-            initial_state=initial,
-            sample_interval=spec["sample_interval"],
-            max_events=spec["max_events"],
+            spec["horizon"], max_events=spec["max_events"], **run_kwargs
         )
         timings.append(time.perf_counter() - start)
         if result.horizon_reached:
@@ -245,21 +279,38 @@ def _measure_throughput(spec: dict, backend: str, scenario=None) -> dict:
                 f"{spec['horizon']} before max_events={spec['max_events']}"
             )
     elapsed = statistics.median(timings)
-    return {
+    measurement = {
         "backend": backend,
-        "events": spec["max_events"],
+        "events": timed_events,
         "elapsed_seconds": round(elapsed, 4),
-        "events_per_second": round(spec["max_events"] / elapsed, 1),
+        "events_per_second": round(timed_events / elapsed, 1),
         "repetitions": [round(t, 4) for t in timings],
         "final_population": result.final_population,
         "thinned_events": result.metrics.thinned_events,
     }
+    if backend == "array":
+        # Deterministic batch-stage counters of the whole run (warm-up
+        # included): a changed figure for the same seed is a behaviour
+        # change, not noise.
+        measurement["batch_stage"] = {
+            "probes_run": simulator.probes_run,
+            "probes_skipped": simulator.probes_skipped,
+            "events_batched": simulator.events_batched,
+        }
+    return measurement
 
 
 def measure_backend_throughput(backend: str) -> dict:
     """Events/second of one backend on the reference 10k-peer workload."""
     measurement = _measure_throughput(BENCH_WORKLOAD, backend)
     _session_measurements[backend] = measurement
+    return measurement
+
+
+def measure_stable_throughput(backend: str) -> dict:
+    """Events/second of one backend on the stable-regime workload."""
+    measurement = _measure_throughput(STABLE_BENCH_WORKLOAD, backend)
+    _stable_measurements[backend] = measurement
     return measurement
 
 
@@ -510,6 +561,11 @@ def emit_bench_baseline(path: Path = BENCH_OUTPUT) -> dict:
         or measure_backend_throughput(backend)
         for backend in ("object", "array")
     }
+    stable_backends = {
+        backend: _stable_measurements.get(backend)
+        or measure_stable_throughput(backend)
+        for backend in ("object", "array")
+    }
     scenario_backends = {
         backend: _scenario_measurements.get(backend)
         or measure_scenario_throughput(backend)
@@ -555,6 +611,15 @@ def emit_bench_baseline(path: Path = BENCH_OUTPUT) -> dict:
         "workload": dict(BENCH_WORKLOAD),
         "backends": backends,
         "array_speedup_over_object": round(speedup, 2),
+        "stable": {
+            "workload": dict(STABLE_BENCH_WORKLOAD),
+            "backends": stable_backends,
+            "array_speedup_over_object": round(
+                stable_backends["array"]["events_per_second"]
+                / stable_backends["object"]["events_per_second"],
+                2,
+            ),
+        },
         "scenario": {
             "workload": dict(SCENARIO_BENCH_WORKLOAD),
             "backends": scenario_backends,
@@ -613,6 +678,9 @@ def pytest_sessionfinish(session, exitstatus):
         f"\nBENCH_swarm.json refreshed: array backend at "
         f"{baseline['backends']['array']['events_per_second']:,.0f} ev/s "
         f"({baseline['array_speedup_over_object']:.1f}x over object); "
+        f"stable workload at "
+        f"{baseline['stable']['backends']['array']['events_per_second']:,.0f} ev/s "
+        f"({baseline['stable']['array_speedup_over_object']:.1f}x); "
         f"scenario workload at "
         f"{baseline['scenario']['backends']['array']['events_per_second']:,.0f} ev/s "
         f"({baseline['scenario']['array_speedup_over_object']:.1f}x); "

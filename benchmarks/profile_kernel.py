@@ -28,12 +28,17 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_kernel.py --backend object
     PYTHONPATH=src python benchmarks/profile_kernel.py --scenario --events 100000
     PYTHONPATH=src python benchmarks/profile_kernel.py --topology     # tracker overlay
+    PYTHONPATH=src python benchmarks/profile_kernel.py --stable       # stable regime
     PYTHONPATH=src python benchmarks/profile_kernel.py --block-size 1   # scalar draws
     PYTHONPATH=src python benchmarks/profile_kernel.py --stacked        # fleet mega-kernel
 
 With ``--topology`` the phase table gains overlay rows — arrival wiring,
 churn rewiring and the per-contact neighbor draw — so overlay overhead is
-attributable next to the draw/apply/census split.
+attributable next to the draw/apply/census split.  On the array backend
+the table is followed by the kernel's batch-stage counters: probes run,
+entries skipped by the yield gate, and events batched.  ``--stable`` runs
+the stable-regime workload (``STABLE_BENCH_WORKLOAD``, started empty), where
+real transfers dominate and the yield gate keeps failed probes cheap.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from conftest import (
     FLEET_BENCH_WORKLOAD,
     OVERLAY_BENCH_WORKLOAD,
     SCENARIO_BENCH_WORKLOAD,
+    STABLE_BENCH_WORKLOAD,
     _fleet_bench_spec,
     _overlay_bench_spec,
     _scenario_bench_spec,
@@ -66,10 +72,14 @@ def _build(args):
     elif args.scenario:
         spec = dict(SCENARIO_BENCH_WORKLOAD)
         scenario = _scenario_bench_spec()
+    elif args.stable:
+        spec = dict(STABLE_BENCH_WORKLOAD)
+        scenario = None
     else:
         spec = dict(BENCH_WORKLOAD)
         scenario = None
-    spec["max_events"] = args.events
+    if args.events is not None:
+        spec["max_events"] = args.events
     params = (
         scenario.params
         if scenario is not None
@@ -88,7 +98,8 @@ def _build(args):
         scenario=scenario,
         draw_block_size=args.block_size,
     )
-    initial = SystemState.one_club(spec["num_pieces"], spec["initial_one_club"])
+    club = spec.get("initial_one_club")
+    initial = SystemState.one_club(spec["num_pieces"], club) if club else None
     run_kwargs = dict(
         initial_state=initial,
         sample_interval=spec["sample_interval"],
@@ -166,6 +177,14 @@ def run_phase_table(args) -> None:
         print(f"{phase:<28}{calls:>12,}{seconds:>12.3f}{seconds / wall:>8.1%}")
     residual = max(wall - accounted, 0.0)
     print(f"{'residual (scalar loop)':<28}{'—':>12}{residual:>12.3f}{residual / wall:>8.1%}")
+    if args.backend == "array":
+        # The kernel's own deterministic counters (no timers involved).
+        print(
+            f"batch stage: {simulator.probes_run:,} probes run, "
+            f"{simulator.probes_skipped:,} entries skipped by the yield gate, "
+            f"{simulator.events_batched:,} events batched "
+            f"({simulator.events_batched / max(events, 1):.1%} of events)"
+        )
 
 
 def run_cprofile(args, top: int = 25) -> None:
@@ -295,7 +314,7 @@ def main() -> None:
     parser.add_argument(
         "--events",
         type=int,
-        default=BENCH_WORKLOAD["max_events"],
+        default=None,
         help="event cap (default: the BENCH_swarm.json workload's)",
     )
     workload = parser.add_mutually_exclusive_group()
@@ -308,6 +327,12 @@ def main() -> None:
         "--topology",
         action="store_true",
         help="profile the tracker-overlay workload (adds overlay phase rows)",
+    )
+    workload.add_argument(
+        "--stable",
+        action="store_true",
+        help="profile the stable-regime workload (mostly real transfers), "
+        "from empty",
     )
     parser.add_argument(
         "--block-size",

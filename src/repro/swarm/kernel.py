@@ -40,7 +40,9 @@ On top of the scalar handlers the kernel adds a **vectorized batch stage**
 the dominant event of a captured swarm — are classified against the pending
 draw block with numpy array ops and applied wholesale, consuming exactly the
 draws the scalar loop would, so the batching is invisible in the trajectory
-(enforced at ``DRAW_BLOCK_SIZE=1`` vs. default in CI).
+(enforced at ``DRAW_BLOCK_SIZE=1`` vs. default in CI).  A yield gate backs
+the stage off after unproductive probes, so transfer-heavy (stable-regime)
+swarms do not pay a failed numpy probe before nearly every scalar event.
 
 The contract extends to declarative scenarios
 (:class:`~repro.core.scenario.ScenarioSpec`): rate schedules thin in the
@@ -77,6 +79,14 @@ from .policies import PieceSelectionPolicy, RandomUsefulSelection, SwarmView
 from .swarm import _SwarmEventLoop
 
 _MAX_ARRAY_PIECES = 64
+
+#: Events the batch stage's first classification probe looks at.
+_PROBE_WINDOW = 16
+#: A probe that batches fewer events than this counts as unproductive and
+#: backs the yield gate off (see :meth:`ArraySwarmKernel._batch_stage`).
+_PROBE_MIN_YIELD = 2
+#: Longest back-off of the yield gate, in skipped batch-stage entries.
+_PROBE_MAX_BACKOFF = 64
 
 
 class ArraySwarmKernel(_SwarmEventLoop):
@@ -168,6 +178,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             and getattr(self.policy, "rng_free_when_useless", False)
             and self._gossip is None
         )
+        self._reset_probe_gate()
         self._membership_version = 0
         self._ticker_cache: Optional[dict] = None
         # Incremental numpy mirror of ``_class_members`` (built lazily on
@@ -633,7 +644,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if new_mask == self._full_mask:
             self._completed_at[row] = self._time
             departs = (
-                self.params.immediate_departure
+                self._immediate_departure
                 if self._classes is None
                 else self._classes[int(self._class_idx[row])].immediate_departure
             )
@@ -736,6 +747,26 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._remove_peer(self._seeds[index])
 
     # -- vectorized event batching ----------------------------------------------
+
+    def _reset_probe_gate(self) -> None:
+        """Engage the batch stage's yield gate and zero its counters.
+
+        The gate only decides *whether* a batch-stage entry looks for a
+        batchable run, never which draws are consumed, so neither the gate
+        nor the counters are part of a snapshot: a restored kernel continues
+        the same trajectory whatever state its gate is in.
+        """
+        self._probe_skip = 0  # batch-stage entries still to skip
+        self._probe_backoff = 0  # length of the current back-off
+        # Clock of the last productive batch that stopped at a breaker: the
+        # next candidate, while the clock has not moved, is that breaker.
+        self._breaker_time = math.nan
+        #: Probes run, batch-stage entries that skipped their probe (gate
+        #: back-off or a known breaker), and events applied by the batch
+        #: stage (wasted ticks and thinned candidates).
+        self.probes_run = 0
+        self.probes_skipped = 0
+        self.events_batched = 0
 
     def _batch_hetero_tickers(self, uniforms: np.ndarray) -> Optional[np.ndarray]:
         """Vectorized ``_draw_hetero_ticker`` for a chunk of uniforms.
@@ -849,9 +880,28 @@ class ArraySwarmKernel(_SwarmEventLoop):
         fixed-seed-tick candidates under a scheduled (non-constant) rate,
         a fixed three-draw stride — dispatches to :meth:`_batch_thinned`,
         so scenario workloads batch past the first thinned candidate too.
+
+        **Yield gate.**  In the stable regime most contacts move a piece, so
+        the probe nearly always fails and its numpy setup would cost more
+        than the scalar events it precedes.  A probe that batches fewer
+        than ``_PROBE_MIN_YIELD`` events therefore backs the stage off: the
+        next 1, 2, 4, … up to ``_PROBE_MAX_BACKOFF`` entries return at once,
+        and the first productive probe re-engages it.  The entry right after
+        a productive batch skips its probe too when its candidate is the
+        peer tick that stopped the batch (a known transfer), so a captured
+        swarm does not back off at the end of every run of wasted ticks.
+        A skipped entry only hands the pending events to the scalar loop,
+        which consumes the very same draws, so the gate never changes a
+        trajectory — it is fixed scheduling, with no knob, and stays out of
+        snapshots.  ``probes_run`` / ``probes_skipped`` / ``events_batched``
+        count what the stage did.
         """
         n = self._n
         if n == 0:
+            return 0, next_sample
+        if self._probe_skip:
+            self._probe_skip -= 1
+            self.probes_skipped += 1
             return 0, next_sample
         draws = self.draws
         if draws.remaining() < 2:
@@ -861,13 +911,21 @@ class ArraySwarmKernel(_SwarmEventLoop):
         # Scalar pre-check of the first candidate, so event streams that are
         # not batchable skip the vector classification entirely.
         first_sel = float(draws.uniforms_view(2)[1]) * total
-        if not (first_sel > r01 and first_sel <= r012):
+        if first_sel > r01 and first_sel <= r012:
+            if self._breaker_time == self._time:
+                # The last batch stopped at this very peer tick, so it moves
+                # a piece and a probe would find nothing.
+                self.probes_skipped += 1
+                return 0, next_sample
+        else:
             if (first_sel <= rates[0] and self._thin_arrivals) or (
                 rates[0] < first_sel <= r01 and self._thin_seed
             ):
-                return self._batch_thinned(
+                applied, next_sample = self._batch_thinned(
                     rates, total, horizon, interval, next_sample, limit
                 )
+                self.events_batched += applied
+                return applied, next_sample
             return 0, next_sample
         candidates = draws.remaining() >> 2
         if limit is not None and candidates > limit:
@@ -910,14 +968,25 @@ class ArraySwarmKernel(_SwarmEventLoop):
             bad = np.flatnonzero(~ok)
             return int(bad[0]) if bad.size else window
 
-        # Two-tier classification: probe a small window first, so phases
-        # dominated by transfers / arrivals (where runs of wasted ticks are
-        # short) never pay a full-block classification to apply a handful
-        # of events; only a fully-clean probe escalates to the whole block.
-        probe = 16 if candidates > 16 else candidates
+        # Two-tier classification behind the yield gate: probe a small window
+        # first, so phases dominated by transfers / arrivals (where runs of
+        # wasted ticks are short) never pay a full-block classification to
+        # apply a handful of events; only a fully-clean probe escalates to
+        # the whole block.  An unproductive probe doubles the gate's
+        # back-off (the following entries are skipped before any numpy
+        # work); a productive one re-engages the gate.
+        self.probes_run += 1
+        probe = _PROBE_WINDOW if candidates > _PROBE_WINDOW else candidates
         count = leading_ok(probe)
         if count == probe and candidates > probe:
             count = leading_ok(candidates)
+        if count < _PROBE_MIN_YIELD:
+            backoff = 2 * self._probe_backoff or 1
+            if backoff > _PROBE_MAX_BACKOFF:
+                backoff = _PROBE_MAX_BACKOFF
+            self._probe_backoff = self._probe_skip = backoff
+        else:
+            self._probe_backoff = 0
         if count == 0:
             return 0, next_sample
         # Exact sequential clock walk over the accepted prefix: same
@@ -937,6 +1006,9 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 break
             time = next_event_time
             applied += 1
+        if count >= _PROBE_MIN_YIELD and applied == count < candidates:
+            # Candidate ``count`` broke the run; the next entry starts there.
+            self._breaker_time = time
         if applied:
             self._time = time
             self.metrics.wasted_contacts += applied
@@ -945,6 +1017,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 # neighbor) bump the locality counter too.
                 self.metrics.neighbor_useless_ticks += applied
             draws.advance(4 * applied)
+            self.events_batched += applied
         return applied, next_sample
 
     def _batch_thinned(

@@ -147,6 +147,7 @@ def _clone_lane(template: _StackedLane, seed: SeedLike) -> _StackedLane:
     lane._membership_version = 0
     lane._ticker_cache = None
     lane._class_member_bufs = None
+    lane._reset_probe_gate()
     lane._run_active = False
     lane._run_horizon = None
     lane._run_interval = None
@@ -370,22 +371,22 @@ class StackedSwarmKernel:
             lane._stk_windowable = (
                 lane._batch_enabled and lane._overlay is None
             )
-            # Homogeneous lanes recompute rates from three counters and four
-            # per-lane constants; digesting the constants once lets
-            # ``classify`` skip the ``_event_rates`` call chain.  The
-            # expressions below mirror ``_event_rates`` term for term, so
-            # the recomputed doubles are bit-identical.
+            # Homogeneous lanes recompute rates from three counters and the
+            # driver's hoisted rate constants, so ``classify`` can skip the
+            # ``_event_rates`` call chain.  The expressions below mirror
+            # ``_event_rates`` term for term, so the recomputed doubles are
+            # bit-identical.
             if lane._classes is None:
                 params = lane.params
                 lane._stk_consts = (
-                    lane._arrival_total * lane._arrival_bound,
-                    params.seed_rate * lane._seed_bound,
+                    lane._arrival_rate_bound,
+                    lane._seed_tick_rate_bound,
                     params.peer_rate,
                     lane.retry_speedup - 1.0,
                     (
                         0.0
-                        if params.immediate_departure
-                        else params.seed_departure_rate
+                        if lane._immediate_departure
+                        else lane._seed_departure_rate
                     ),
                 )
             else:

@@ -172,11 +172,21 @@ class _SwarmEventLoop:
         scenario: Optional[ScenarioSpec],
         draw_block_size: Optional[int] = None,
     ) -> None:
-        """Initialise the shared driver: scenario digestion + run-loop state."""
+        """Initialise the shared driver: scenario digestion + run-loop state.
+
+        Backends call this after setting ``params``, ``rng`` and
+        ``_arrival_total``.
+        """
         #: The blocked draw buffer every stochastic decision comes from (see
         #: :mod:`repro.swarm.drawbuf`); both backends consume it identically.
         self.draws = DrawBuffer(self.rng, draw_block_size)
         self._init_scenario(scenario)
+        # Rate terms that are constant for the simulator's lifetime, read by
+        # `_event_rates` on every event (same products, so the same doubles).
+        self._arrival_rate_bound = self._arrival_total * self._arrival_bound
+        self._seed_tick_rate_bound = self.params.seed_rate * self._seed_bound
+        self._immediate_departure = self.params.immediate_departure
+        self._seed_departure_rate = self.params.seed_departure_rate
         #: Slot-indexed contact overlay shared (by construction, not by
         #: reference) between backends; ``None`` keeps uniform contacts.
         self._overlay: Optional[OverlayState] = build_overlay(self._topology)
@@ -268,7 +278,7 @@ class _SwarmEventLoop:
     def _class_departs_immediately(self, class_index: int) -> bool:
         """Whether a completing peer of the given class leaves instantly."""
         if self._classes is None:
-            return self.params.immediate_departure
+            return self._immediate_departure
         return self._classes[class_index].immediate_departure
 
     def _thin_accept(self, schedule: RateSchedule, bound: float) -> bool:
@@ -390,9 +400,9 @@ class _SwarmEventLoop:
     def _total_seed_departure_rate(self) -> float:
         """Aggregate peer-seed departure rate (γ-weighted in hetero mode)."""
         if self._classes is None:
-            if self.params.immediate_departure:
+            if self._immediate_departure:
                 return 0.0
-            return self.params.seed_departure_rate * self.num_seeds
+            return self._seed_departure_rate * self.num_seeds
         total = 0.0
         for cls, seeds in zip(self._classes, self._class_seeds):
             if seeds and not cls.immediate_departure:
@@ -408,13 +418,13 @@ class _SwarmEventLoop:
         (base rate × maximum schedule factor); `_apply_event` thins the
         candidates back down to the instantaneous rate.
         """
-        arrival = self._arrival_total * self._arrival_bound
-        seed_tick = (
-            self.params.seed_rate * self._seed_bound if self.population > 0 else 0.0
+        seed_tick = self._seed_tick_rate_bound if self.population > 0 else 0.0
+        return (
+            self._arrival_rate_bound,
+            seed_tick,
+            self._total_peer_tick_rate(),
+            self._total_seed_departure_rate(),
         )
-        peer_tick = self._total_peer_tick_rate()
-        seed_departure = self._total_seed_departure_rate()
-        return arrival, seed_tick, peer_tick, seed_departure
 
     # -- typed event application (cohort-apply primitives) ---------------------
     #
@@ -868,6 +878,16 @@ class SwarmSimulator(_SwarmEventLoop):
         # list so the total tick weight and the weighted peer sampling are O(1).
         self._sped_ids: List[int] = []
         self._sped_position: Dict[int, int] = {}
+        self._arrival_types = list(params.arrival_rates)
+        self._arrival_weights = np.array(
+            [params.arrival_rates[t] for t in self._arrival_types], dtype=float
+        )
+        self._arrival_total = float(self._arrival_weights.sum())
+        self._arrival_probs = self._arrival_weights / self._arrival_total
+        self._arrival_cumprobs = np.cumsum(self._arrival_probs)
+        self._single_arrival_type = (
+            self._arrival_types[0] if len(self._arrival_types) == 1 else None
+        )
         self._init_driver(scenario, draw_block_size)
         # In heterogeneous mode the seed/sped lists live per class
         # (self._class_seeds / self._class_sped, ids in arrival order) and the
@@ -880,16 +900,6 @@ class SwarmSimulator(_SwarmEventLoop):
         self._next_peer_id = 0
         self._time = 0.0
         self.metrics = SwarmMetrics()
-        self._arrival_types = list(params.arrival_rates)
-        self._arrival_weights = np.array(
-            [params.arrival_rates[t] for t in self._arrival_types], dtype=float
-        )
-        self._arrival_total = float(self._arrival_weights.sum())
-        self._arrival_probs = self._arrival_weights / self._arrival_total
-        self._arrival_cumprobs = np.cumsum(self._arrival_probs)
-        self._single_arrival_type = (
-            self._arrival_types[0] if len(self._arrival_types) == 1 else None
-        )
         # One live view shared across policy calls; the oracle census is a
         # read-only proxy of the live count dict (zero-copy, but a mutating
         # policy fails loudly), the scalar fields are refreshed per call.
