@@ -108,49 +108,59 @@ def _build(args):
     return simulator, spec["horizon"], run_kwargs
 
 
+def _timed(original, bucket):
+    """``original`` wrapped to add one call and its seconds to ``bucket``."""
+
+    def timed(self, *call_args, **call_kwargs):
+        start = time.perf_counter()
+        try:
+            return original(self, *call_args, **call_kwargs)
+        finally:
+            bucket[0] += 1
+            bucket[1] += time.perf_counter() - start
+
+    return timed
+
+
 @contextmanager
+def _timed_methods(targets):
+    """Patch each ``(owner, method name, phase)`` of ``targets`` with an
+    accumulating timer (class-level, restored on exit); yields phase name
+    -> [calls, seconds] in first-seen phase order."""
+    totals: dict = {}
+    patched = []
+    try:
+        for owner, name, phase in targets:
+            original = getattr(owner, name)
+            bucket = totals.setdefault(phase, [0, 0.0])
+            setattr(owner, name, _timed(original, bucket))
+            patched.append((owner, name, original))
+        yield totals
+    finally:
+        for owner, name, original in patched:
+            setattr(owner, name, original)
+
+
 def _phase_timers():
-    """Patch the phase entry points with accumulating timers (class-level,
-    restored on exit): phase name -> [calls, seconds]."""
+    """Timers on the phase entry points of both backends."""
     from repro.swarm.drawbuf import DrawBuffer
     from repro.swarm.kernel import ArraySwarmKernel
     from repro.swarm.swarm import SwarmSimulator, _SwarmEventLoop
     from repro.swarm.topology import OverlayState
 
-    totals: dict = {}
-    patched = []
-
-    def instrument(owner, name, phase):
-        original = getattr(owner, name)
-        bucket = totals.setdefault(phase, [0, 0.0])
-
-        def timed(self, *call_args, **call_kwargs):
-            start = time.perf_counter()
-            try:
-                return original(self, *call_args, **call_kwargs)
-            finally:
-                bucket[0] += 1
-                bucket[1] += time.perf_counter() - start
-
-        setattr(owner, name, timed)
-        patched.append((owner, name, original))
-
-    instrument(DrawBuffer, "_refill", "draw (block refill)")
-    instrument(ArraySwarmKernel, "_batch_stage", "apply (batch stage)")
-    instrument(_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)")
-    # _record_sample lives on each backend, not the shared driver.
-    instrument(ArraySwarmKernel, "_record_sample", "census (sampling)")
-    instrument(SwarmSimulator, "_record_sample", "census (sampling)")
-    # Overlay rows stay at zero calls (and are omitted from the table)
-    # unless the workload carries a topology (``--topology``).
-    instrument(OverlayState, "on_arrival", "overlay (arrival wiring)")
-    instrument(OverlayState, "on_departure", "overlay (churn rewiring)")
-    instrument(OverlayState, "draw_target", "overlay (target draw)")
-    try:
-        yield totals
-    finally:
-        for owner, name, original in patched:
-            setattr(owner, name, original)
+    return _timed_methods([
+        (DrawBuffer, "_refill", "draw (block refill)"),
+        (ArraySwarmKernel, "_batch_stage", "apply (batch stage)"),
+        (_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)"),
+        # _record_sample lives on each backend, not the shared driver.
+        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
+        (SwarmSimulator, "_record_sample", "census (sampling)"),
+        # Overlay rows stay at zero calls (and are omitted from the table)
+        # unless the workload carries a topology (``--topology``).
+        (OverlayState, "on_arrival", "overlay (arrival wiring)"),
+        (OverlayState, "on_departure", "overlay (churn rewiring)"),
+        (OverlayState, "draw_target", "overlay (target draw)"),
+    ])
 
 
 def run_phase_table(args) -> None:
@@ -233,46 +243,27 @@ def run_stacked_phase_table(args) -> None:
     from repro.swarm.kernel import ArraySwarmKernel
     from repro.swarm.swarm import _SwarmEventLoop
 
-    totals: dict = {}
-    patched = []
-
-    def instrument(owner, name, phase):
-        original = getattr(owner, name)
-        bucket = totals.setdefault(phase, [0, 0.0])
-
-        def timed(self, *call_args, **call_kwargs):
-            start = time.perf_counter()
-            try:
-                return original(self, *call_args, **call_kwargs)
-            finally:
-                bucket[0] += 1
-                bucket[1] += time.perf_counter() - start
-
-        setattr(owner, name, timed)
-        patched.append((owner, name, original))
-
-    instrument(DrawBuffer, "_refill", "draw (block refill)")
-    instrument(_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)")
-    instrument(ArraySwarmKernel, "_record_sample", "census (sampling)")
-    # Per-event-type breakdown of the cohort dispatch: the typed primitives
-    # the round loop applies classified events through.  ``dispatch ·
-    # peer tick`` nests ``dispatch · transfer`` (the tick draws the target,
-    # the transfer moves the piece), so the rows overlap; shares are of
-    # wall, not of each other.
-    instrument(_SwarmEventLoop, "_apply_arrival_event", "dispatch · arrival")
-    instrument(_SwarmEventLoop, "_apply_seed_tick_event", "dispatch · seed tick")
-    instrument(_SwarmEventLoop, "_apply_peer_tick_event", "dispatch · peer tick")
-    instrument(ArraySwarmKernel, "_apply_transfer_tick", "dispatch · transfer")
-    instrument(_SwarmEventLoop, "_apply_departure_event", "dispatch · departure")
-    instrument(ArraySwarmKernel, "_batch_thinned", "dispatch · thinned")
-    stack, horizon, run_kwargs = _build_stacked(args)
-    try:
+    targets = [
+        (DrawBuffer, "_refill", "draw (block refill)"),
+        (_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)"),
+        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
+        # Per-event-type breakdown of the cohort dispatch: the typed
+        # primitives the round loop applies classified events through.
+        # ``dispatch · peer tick`` nests ``dispatch · transfer`` (the tick
+        # draws the target, the transfer moves the piece), so the rows
+        # overlap; shares are of wall, not of each other.
+        (_SwarmEventLoop, "_apply_arrival_event", "dispatch · arrival"),
+        (_SwarmEventLoop, "_apply_seed_tick_event", "dispatch · seed tick"),
+        (_SwarmEventLoop, "_apply_peer_tick_event", "dispatch · peer tick"),
+        (ArraySwarmKernel, "_apply_transfer_tick", "dispatch · transfer"),
+        (_SwarmEventLoop, "_apply_departure_event", "dispatch · departure"),
+        (ArraySwarmKernel, "_batch_thinned", "dispatch · thinned"),
+    ]
+    with _timed_methods(targets) as totals:
+        stack, horizon, run_kwargs = _build_stacked(args)
         start = time.perf_counter()
         results = stack.run_all(horizon, **run_kwargs)
         wall = time.perf_counter() - start
-    finally:
-        for owner, name, original in patched:
-            setattr(owner, name, original)
     events = sum(result.events_executed for result in results)
     print(
         f"\nPer-phase timing — stacked fleet, {stack.num_lanes} lanes, "

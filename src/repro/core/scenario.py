@@ -570,11 +570,6 @@ def base_params(
     )
 
 
-#: Backwards-compatible private alias (the factories below predate the
-#: public name).
-_base_params = base_params
-
-
 def flash_crowd_scenario(
     surge_start: float = 20.0,
     surge_end: float = 50.0,
@@ -585,7 +580,7 @@ def flash_crowd_scenario(
     """Arrivals surge by ``surge_factor`` on ``[surge_start, surge_end)``."""
     return ScenarioSpec(
         name="flash-crowd",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         arrival_schedule=RateSchedule.pulse(surge_start, surge_end, surge_factor),
         census=census,
         description=(
@@ -603,7 +598,7 @@ def seed_outage_scenario(
     """The fixed seed goes dark on ``[outage_start, outage_end)``."""
     return ScenarioSpec(
         name="seed-outage",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         seed_schedule=RateSchedule.outage(outage_start, outage_end),
         census=census,
         description=(
@@ -620,7 +615,7 @@ def heterogeneous_classes_scenario(
     **params_kwargs,
 ) -> ScenarioSpec:
     """Two peer classes: a fast minority and a slow majority."""
-    params = _base_params(**params_kwargs)
+    params = base_params(**params_kwargs)
     gamma = params.seed_departure_rate
     return ScenarioSpec(
         name="heterogeneous-classes",
@@ -662,7 +657,7 @@ def diurnal_scenario(
     """
     return ScenarioSpec(
         name="diurnal",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         arrival_schedule=RateSchedule.square_wave(period, high, low, horizon),
         census=census,
         description=(
@@ -678,7 +673,7 @@ def high_churn_scenario(
     **params_kwargs,
 ) -> ScenarioSpec:
     """A majority of completing peers leave instantly; the rest dwell."""
-    params = _base_params(**params_kwargs)
+    params = base_params(**params_kwargs)
     mu = params.peer_rate
     return ScenarioSpec(
         name="high-churn",
@@ -777,7 +772,7 @@ def sparse_overlay_scenario(
     spec = TopologySpec(kind=topology, degree=degree, max_degree=max_degree)
     return ScenarioSpec(
         name="sparse-overlay",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         topology=None if spec.is_complete else spec,
         census=census,
         description=(
@@ -801,7 +796,7 @@ def partitioned_scenario(
 
     return ScenarioSpec(
         name="partitioned",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         topology=TopologySpec(
             kind="partitioned",
             degree=degree,
@@ -837,7 +832,7 @@ def flash_exit_scenario(
         topo = TopologySpec(kind=topology, degree=degree)
     return ScenarioSpec(
         name="flash-exit",
-        params=_base_params(**params_kwargs),
+        params=base_params(**params_kwargs),
         topology=topo,
         cull_time=exit_time,
         cull_fraction=exit_fraction,

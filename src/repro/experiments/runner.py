@@ -3,9 +3,10 @@
 Two layers live here:
 
 * :class:`BatchRunner` — fans independent swarm replications out across
-  ``multiprocessing`` workers (or runs them serially), derives one child seed
-  per replication via :func:`repro.simulation.rng.spawn_generators`, selects
-  the simulation backend (``"object"`` reference simulator or ``"array"``
+  worker processes through :func:`map_tasks` (or runs them serially),
+  derives one child seed per replication via
+  :func:`repro.simulation.rng.spawn_generators`, selects the simulation
+  backend (``"object"`` reference simulator or ``"array"``
   structure-of-arrays kernel) and aggregates the per-replication
   :class:`~repro.swarm.metrics.SwarmMetrics` streams into a
   :class:`BatchSwarmResult`.
@@ -31,8 +32,6 @@ wall-clock, never the science.
 from __future__ import annotations
 
 import heapq
-import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -98,20 +97,6 @@ class TaskFailure:
     attempts: int
 
 
-class _AttemptZero:
-    """Picklable adapter: always call ``function(task, attempt=0)``.
-
-    Keeps the unsupervised pool path (``pool.imap``) working for callers
-    that opted into ``with_attempt`` signatures without supervision.
-    """
-
-    def __init__(self, function):
-        self.function = function
-
-    def __call__(self, task):
-        return self.function(task, 0)
-
-
 def _invoke_task(function, task, attempt: int, with_attempt: bool):
     if with_attempt:
         return function(task, attempt)
@@ -120,6 +105,37 @@ def _invoke_task(function, task, attempt: int, with_attempt: bool):
 
 def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
+
+
+def _check_supervision(
+    entry_point: str,
+    max_retries: int,
+    task_timeout: Optional[float],
+    retry_backoff: float,
+) -> None:
+    """Validate the supervision options of ``entry_point`` (shared by
+    :func:`map_tasks` and the fleet executors)."""
+    if isinstance(max_retries, bool) or not isinstance(max_retries, int) or (
+        max_retries < 0
+    ):
+        raise unsupported_option(
+            entry_point, "max_retries", max_retries,
+            "retries are a bounded non-negative count; pass 0 to disable "
+            "supervised retry",
+        )
+    if task_timeout is not None and (
+        isinstance(task_timeout, bool) or not task_timeout > 0
+    ):
+        raise unsupported_option(
+            entry_point, "task_timeout", task_timeout,
+            "the per-task deadline is seconds of wall clock and must be "
+            "positive; pass None to disable it",
+        )
+    if retry_backoff < 0:
+        raise unsupported_option(
+            entry_point, "retry_backoff", retry_backoff,
+            "the retry backoff is seconds and must be >= 0",
+        )
 
 
 def _run_supervised_serial(
@@ -171,22 +187,24 @@ def _run_supervised_pool(
 ):
     """Supervised process-pool execution: crash detection, deadlines, retry.
 
-    Uses ``concurrent.futures.ProcessPoolExecutor`` rather than
-    ``multiprocessing.Pool`` because a dead worker breaks the executor
-    *loudly* (``BrokenProcessPool`` on every in-flight future) instead of
-    silently swallowing the job.  On a broken pool, every in-flight task is
-    charged one attempt (the executor cannot attribute the death to a
-    single future) and the pool is rebuilt; on a deadline overrun, the
+    Uses ``concurrent.futures.ProcessPoolExecutor`` because a dead worker
+    breaks the executor *loudly* (``BrokenProcessPool`` on every in-flight
+    future) instead of leaving the caller waiting forever for the lost
+    result.  On a broken pool, every in-flight task is charged one attempt
+    (the executor cannot attribute the death to a single future) and the
+    pool is rebuilt; on a deadline overrun, the
     pool's processes are terminated, only the overrunning tasks are
-    charged, and everything else is requeued uncharged.  Results are
-    yielded strictly in task order.
+    charged, and everything else is requeued uncharged.  Results, and
+    errors re-raised under ``on_exhausted="raise"``, come out strictly in
+    task order.
     """
     import concurrent.futures as cf
     from concurrent.futures.process import BrokenProcessPool
 
     total = len(tasks)
     attempts = [0] * total  # failed attempts consumed per task
-    resolved: Dict[int, Any] = {}  # index -> ("ok", result) | TaskFailure
+    # index -> ("ok", result) | ("raise", error) | TaskFailure
+    resolved: Dict[int, Any] = {}
     ready: List[int] = list(range(total))
     heapq.heapify(ready)
     inflight: Dict[int, Tuple[Any, float]] = {}  # index -> (future, started)
@@ -214,7 +232,7 @@ def _run_supervised_pool(
                 attempts=attempts[index],
             )
         else:
-            raise error
+            resolved[index] = ("raise", error)
 
     def harvest() -> None:
         broken = False
@@ -297,7 +315,12 @@ def _run_supervised_pool(
             fill()
             if emit in resolved:
                 value = resolved.pop(emit)
-                yield value if isinstance(value, TaskFailure) else value[1]
+                if isinstance(value, TaskFailure):
+                    yield value
+                elif value[0] == "raise":
+                    raise value[1]
+                else:
+                    yield value[1]
                 emit += 1
                 continue
             futures = [future for future, _started in inflight.values()]
@@ -314,12 +337,14 @@ def _run_supervised_pool(
             cf.wait(futures, timeout=wait_for, return_when=cf.FIRST_COMPLETED)
     finally:
         if inflight:
-            # Consumer stopped early: cancel outstanding work, like the
-            # unsupervised path's pool teardown.
+            # The consumer stopped early or a task's error was raised:
+            # terminate the outstanding work.
             processes = getattr(executor, "_processes", None) or {}
             for process in list(processes.values()):
                 process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
+        # Waiting joins the executor's manager thread, which otherwise can
+        # race the interpreter-exit hook on its wakeup pipe (EBADF noise).
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def map_tasks(
@@ -336,15 +361,17 @@ def map_tasks(
     """Stream ``function`` over ``tasks``, serially or on a process pool.
 
     ``workers in (None, 0, 1)`` runs in-process; larger values use a
-    process pool of ``min(workers, len(tasks))`` processes.  Results are
-    yielded strictly in task order either way, so callers' outcomes never
-    depend on the worker count.  The pool is torn down when the generator
-    is exhausted *or* closed early (a consumer that stops iterating —
-    e.g. the fleet scheduler hitting a checkpoint stop — cancels the
-    outstanding work).
+    supervised ``ProcessPoolExecutor`` of ``min(workers, len(tasks))``
+    processes.  Results are yielded strictly in task order either way, and
+    a task's error is raised in its position with its original type, so
+    callers' outcomes never depend on the worker count.  A worker process
+    that dies mid-task surfaces as :class:`WorkerCrashError` instead of a
+    hang.  The pool is torn down when the generator is exhausted *or*
+    closed early (a consumer that stops iterating — e.g. the fleet
+    scheduler hitting a checkpoint stop — cancels the outstanding work).
 
-    Supervision (off by default; the default path is byte-for-byte the
-    original ``multiprocessing.Pool``/serial execution):
+    Supervision options (the defaults run every task once and raise its
+    error):
 
     * ``max_retries`` — failed tasks are retried up to this many times
       with deterministic exponential backoff (``retry_backoff * 2**k``
@@ -366,56 +393,28 @@ def map_tasks(
     :class:`BatchRunner` maps replications through it and
     :class:`repro.fleet.scheduler.FleetScheduler` maps swarm chunks.
     """
-    if not isinstance(max_retries, int) or isinstance(max_retries, bool) \
-            or max_retries < 0:
-        raise unsupported_option(
-            "map_tasks", "max_retries", max_retries,
-            "retries are a bounded non-negative count; pass 0 to disable "
-            "supervised retry",
-        )
-    if task_timeout is not None and not task_timeout > 0:
-        raise unsupported_option(
-            "map_tasks", "task_timeout", task_timeout,
-            "the per-task deadline is seconds of wall clock and must be "
-            "positive; pass None to disable it",
-        )
-    if retry_backoff < 0:
-        raise unsupported_option(
-            "map_tasks", "retry_backoff", retry_backoff,
-            "the retry backoff is seconds and must be >= 0",
-        )
+    _check_supervision("map_tasks", max_retries, task_timeout, retry_backoff)
     if on_exhausted not in ("raise", "yield"):
         raise ValueError(
             f"on_exhausted must be 'raise' or 'yield', got {on_exhausted!r}"
         )
-    supervised = (
-        task_timeout is not None or max_retries > 0 or on_exhausted != "raise"
-    )
     workers = workers or 0
     if workers > 1 and len(tasks) > 1:
-        if supervised:
-            yield from _run_supervised_pool(
-                function,
-                tasks,
-                min(workers, len(tasks)),
-                task_timeout,
-                max_retries,
-                retry_backoff,
-                on_exhausted,
-                with_attempt,
-            )
-        else:
-            pool_function = _AttemptZero(function) if with_attempt else function
-            with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-                yield from pool.imap(pool_function, tasks)
-    elif supervised:
+        yield from _run_supervised_pool(
+            function,
+            tasks,
+            min(workers, len(tasks)),
+            task_timeout,
+            max_retries,
+            retry_backoff,
+            on_exhausted,
+            with_attempt,
+        )
+    else:
         yield from _run_supervised_serial(
             function, tasks, max_retries, retry_backoff, on_exhausted,
             with_attempt,
         )
-    else:
-        for task in tasks:
-            yield _invoke_task(function, task, 0, with_attempt)
 
 
 @dataclass
@@ -470,9 +469,10 @@ class BatchRunner:
         ``"object"`` (reference simulator) or ``"array"`` (SoA kernel), passed
         to :func:`repro.swarm.swarm.make_simulator`.
     workers:
-        ``None``, 0 or 1 runs the batch serially in-process; ``n > 1`` uses a
-        ``multiprocessing`` pool of ``n`` workers.  Results are returned in
-        seed order either way, so the outcome is independent of ``workers``.
+        ``None``, 0 or 1 runs the batch serially in-process; ``n > 1`` runs
+        it on :func:`map_tasks`'s supervised executor with ``n`` worker
+        processes.  Results are returned in seed order either way, so the
+        outcome is independent of ``workers``.
     sim_kwargs:
         Extra simulator-constructor options (``rare_piece``,
         ``retry_speedup``, ``track_groups``, ``scenario``).  Passing a

@@ -9,7 +9,7 @@ dual-kernel runner into a phase-diagram machine:
   sampler + a weighted scenario mix + run controls) and the deterministic
   per-swarm task materialization;
 * :mod:`repro.fleet.scheduler` — :class:`FleetScheduler` /
-  :func:`run_fleet` / :func:`resume_fleet`: chunked ``multiprocessing``
+  :func:`run_fleet` / :func:`resume_fleet`: chunked worker-process
   sharding with results independent of the worker count, streaming
   aggregation, and offset checkpoint/resume (including mid-swarm kernel
   snapshots);

@@ -52,7 +52,6 @@ from .scheduler import (
     _check_stacked_task,
     _run_fleet_chunk,
     _run_stacked_chunk,
-    _run_stacked_task,
     _run_swarm_task,
 )
 from .spec import (
@@ -890,7 +889,6 @@ class AdaptiveFleetDriver(PersistentFleetExecution):
     ) -> AdaptiveFleetResult:
         exec_spec = self.spec.execution_spec()
         cells = self.spec.cells
-        run_task = _run_stacked_task if self.stacked else _run_swarm_task
         run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
         try:
             if fresh:
@@ -914,7 +912,7 @@ class AdaptiveFleetDriver(PersistentFleetExecution):
                 allocation, done = pending
                 index, snapshot = in_flight
                 task = self._task(stream, index, allocation[done])
-                record = run_task(exec_spec, task, snapshot=snapshot)
+                record = _run_swarm_task(exec_spec, task, snapshot=snapshot)
                 result.add(record)
                 assignments.append(cells[allocation[done]])
                 self._append(writer, [record])
@@ -949,7 +947,7 @@ class AdaptiveFleetDriver(PersistentFleetExecution):
                 ]
                 since_checkpoint = 0
                 round_start = state.completed
-                for records in self._map_chunks(run_chunk, run_task, chunks):
+                for records in self._map_chunks(run_chunk, chunks):
                     for record in records:
                         position_in_round = len(result.records) - round_start
                         result.add(record)
@@ -969,7 +967,7 @@ class AdaptiveFleetDriver(PersistentFleetExecution):
                         task = self._task(
                             stream, len(result.records), next_cell
                         )
-                        outcome = run_task(
+                        outcome = _run_swarm_task(
                             exec_spec, task, suspend_after_events=suspend_after_events
                         )
                         if isinstance(outcome, FleetSwarmRecord):

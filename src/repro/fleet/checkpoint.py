@@ -44,21 +44,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from .faults import FaultState, InjectedCheckpointCrash, corrupt_file_bytes
 
-#: Version tag of the checkpoint payload layout.  Format 2 replaced the
-#: inline record list with a (num_records, log_offset) pointer into the
-#: sibling JSONL fleet log; format 3 added ``log_segment`` so the pointer
-#: survives log rotation.  Format-2 checkpoints are still loaded (their
-#: segment defaults to 0, which is what an unrotated log is).  The
-#: in-flight kernel snapshot is opaque to this module and carries its
-#: *own* format tag: snapshots written before the blocked draw buffer
-#: existed (kernel snapshot format 1, no ``"draws"`` entry) are still
-#: restored exactly by
-#: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`, so old
-#: checkpoints survive the buffer migration without a checkpoint-format
-#: bump.
+#: Version tag of the checkpoint payload layout; :func:`load_checkpoint`
+#: accepts only this format.  The in-flight kernel snapshot is opaque to
+#: this module and carries its *own* format tag, checked by
+#: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`.
 CHECKPOINT_FORMAT = 3
-
-_LOADABLE_FORMATS = (2, 3)
 
 
 def default_log_path(checkpoint_path: Union[str, Path]) -> Path:
@@ -92,7 +82,7 @@ class FleetCheckpoint:
     #: the index always equals ``num_records`` when present.
     in_flight: Optional[Tuple[int, Dict[str, Any]]] = None
     #: Which log segment ``log_offset`` points into (0 for an unrotated
-    #: log, which is also what format-2 checkpoints imply).
+    #: log).
     log_segment: int = 0
     format: int = CHECKPOINT_FORMAT
 
@@ -186,15 +176,11 @@ def _load_checkpoint_file(path: Path) -> FleetCheckpoint:
         checkpoint = pickle.load(handle)
     if not isinstance(checkpoint, FleetCheckpoint):
         raise ValueError(f"{path} does not contain a FleetCheckpoint")
-    if checkpoint.format not in _LOADABLE_FORMATS:
+    if checkpoint.format != CHECKPOINT_FORMAT:
         raise ValueError(
             f"unsupported checkpoint format {checkpoint.format} "
-            f"(expected one of {list(_LOADABLE_FORMATS)})"
+            f"(expected {CHECKPOINT_FORMAT})"
         )
-    if not hasattr(checkpoint, "log_segment"):
-        # A format-2 pickle restored into the format-3 dataclass: the field
-        # default does not apply through pickle's __dict__ path, so pin it.
-        checkpoint.log_segment = 0
     return checkpoint
 
 

@@ -32,8 +32,7 @@ read, not fatal; corruption anywhere before the tail, or a
 schema-version mismatch, raises :class:`FleetLogError` with a pointed
 message — unless the reader opts into ``strict=False`` **salvage mode**,
 which skips checksum-failing interior lines with a warning and returns
-whatever survived.  Schema-1 logs (written before checksums existed) are
-still read; their lines simply carry no checksum to verify.
+whatever survived.  Only the current schema is read.
 """
 
 from __future__ import annotations
@@ -49,13 +48,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .faults import FaultState, InjectedFsyncFailure, InjectedTornWrite, kill_self
 from .result import FleetSwarmRecord
 
-#: Version tag of the JSONL fleet-log schema.  Schema 2 added per-line
-#: CRC32 checksums, segment headers (``segment`` / ``base_records``) and
-#: columnar census snapshots; schema-1 logs are still readable (their
-#: lines predate checksums, so there is nothing to verify).
+#: Version tag of the JSONL fleet-log schema; readers accept only this one.
+#: Every line of a schema-2 file carries a CRC32 checksum.
 FLEET_LOG_SCHEMA = 2
-
-_READABLE_SCHEMAS = (1, 2)
 
 _HEADER_KIND = "fleet-log"
 _RECORD_KIND = "swarm"
@@ -75,10 +70,10 @@ def _crc_of(payload: dict) -> int:
 
 
 def _crc_ok(payload: dict) -> bool:
-    """Verify a line's checksum; lines without one (schema 1) pass."""
+    """Verify a line's checksum; a line without one is corrupt."""
     crc = payload.get("crc")
     if crc is None:
-        return True
+        return False
     rest = {key: value for key, value in payload.items() if key != "crc"}
     return _crc_of(rest) == crc
 
@@ -115,10 +110,10 @@ class FleetLogHeader:
                 f"(kind={payload.get('kind')!r})"
             )
         schema = payload.get("schema")
-        if schema not in _READABLE_SCHEMAS:
+        if schema != FLEET_LOG_SCHEMA:
             raise FleetLogError(
                 f"{path}: unsupported fleet-log schema {schema!r} "
-                f"(this build reads schemas {list(_READABLE_SCHEMAS)}); "
+                f"(this build reads schema {FLEET_LOG_SCHEMA}); "
                 "re-run the fleet or use a matching repro version"
             )
         if not _crc_ok(payload):

@@ -82,9 +82,7 @@ class FleetSwarmRecord:
     download_mean: float
     download_hist: Tuple[int, ...]
     #: ``"ok"`` for a completed swarm, ``"failed"`` for one whose retries
-    #: were exhausted and which degraded to a placeholder record.  The
-    #: trailing defaults keep schema-1 log lines (which predate the
-    #: fields) parsing unchanged.
+    #: were exhausted and which degraded to a placeholder record.
     status: str = "ok"
     error: str = ""
     attempts: int = 0

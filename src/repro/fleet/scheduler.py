@@ -125,50 +125,6 @@ def _run_fleet_chunk(job, attempt: int = 0) -> List[FleetSwarmRecord]:
     ]
 
 
-def _run_stacked_task(
-    spec: FleetSpec,
-    task: SwarmTask,
-    suspend_after_events: Optional[int] = None,
-    snapshot: Optional[Dict[str, Any]] = None,
-    faults: Optional[FaultPlan] = None,
-    attempt: int = 0,
-):
-    """Stacked-path twin of :func:`_run_swarm_task`: one-lane stack.
-
-    Snapshots are the ordinary per-swarm format-2 payloads, so a swarm
-    suspended by either path resumes bit-identically through the other.
-    """
-    from ..swarm.stacked import StackedSwarmKernel
-
-    fire_task_faults(faults, task.index, attempt)
-    stack = StackedSwarmKernel()
-    stack.add_lane(
-        task.params,
-        seed=np.random.default_rng(task.seed),
-        scenario=task.scenario,
-        snapshot=snapshot,
-    )
-    if snapshot is not None:
-        initial_states = [None]
-    else:
-        initial_states = [
-            SystemState.one_club(task.params.num_pieces, spec.initial_club_size)
-            if spec.initial_club_size
-            else None
-        ]
-    result = stack.run_all(
-        spec.horizon,
-        initial_states=initial_states,
-        sample_interval=spec.sample_interval,
-        max_events=spec.max_events,
-        max_population=spec.max_population,
-        suspend_after_events=suspend_after_events,
-    )[0]
-    if result.suspended:
-        return stack.lane(0).capture_state()
-    return record_from_result(task, spec, result)
-
-
 def _run_stacked_chunk(job, attempt: int = 0) -> List[FleetSwarmRecord]:
     """Top-level pool worker: run one chunk of swarms in one stacked kernel.
 
@@ -272,27 +228,11 @@ class PersistentFleetExecution:
             raise ValueError(f"rotate_every must be >= 1, got {rotate_every}")
         if compact_after is not None and compact_after < 1:
             raise ValueError(f"compact_after must be >= 1, got {compact_after}")
-        if isinstance(max_retries, bool) or not isinstance(max_retries, int) or (
-            max_retries < 0
-        ):
-            raise unsupported_option(
-                "fleet execution", "max_retries", max_retries,
-                "retries are a bounded non-negative count; pass 0 to "
-                "disable supervised retry",
-            )
-        if task_timeout is not None and (
-            isinstance(task_timeout, bool) or task_timeout <= 0
-        ):
-            raise unsupported_option(
-                "fleet execution", "task_timeout", task_timeout,
-                "the per-task deadline is seconds of wall clock and must "
-                "be positive; pass None to disable it",
-            )
-        if retry_backoff < 0:
-            raise unsupported_option(
-                "fleet execution", "retry_backoff", retry_backoff,
-                "the retry backoff is seconds and must be >= 0",
-            )
+        from ..experiments.runner import _check_supervision
+
+        _check_supervision(
+            "fleet execution", max_retries, task_timeout, retry_backoff
+        )
         self.workers = workers
         self.fsync_every_n = fsync_every_n
         self.chunk_size = chunk_size or _default_chunk_size(
@@ -390,21 +330,17 @@ class PersistentFleetExecution:
             keep_previous=not fresh,
         )
 
-    def _map_chunks(self, run_chunk, run_task, chunks):
-        """Map chunk jobs over the workers, supervised when configured.
+    def _map_chunks(self, run_chunk, chunks):
+        """Map chunk jobs over the workers through :func:`map_tasks`.
 
-        Unsupervised (the default) this is a straight :func:`map_tasks`
-        call — byte-for-byte the historical execution path.  Supervised,
-        chunk failures are retried with backoff by the runner; a chunk
-        whose retries are exhausted is *quarantined*: re-run in-process
-        one task at a time, so one poison swarm costs only its own record
-        (degraded to a ``failed`` record), never its chunk-mates.
+        Chunk failures are retried with backoff by the runner.  With
+        supervision configured, a chunk whose retries are exhausted is
+        *quarantined*: re-run in-process one task at a time, so one poison
+        swarm costs only its own record (degraded to a ``failed`` record),
+        never its chunk-mates; otherwise the chunk's error is raised.
         """
         from ..experiments.runner import TaskFailure, map_tasks
 
-        if not self._supervised:
-            yield from map_tasks(run_chunk, chunks, self.workers)
-            return
         outcomes = map_tasks(
             run_chunk,
             chunks,
@@ -412,17 +348,17 @@ class PersistentFleetExecution:
             task_timeout=self.task_timeout,
             max_retries=self.max_retries,
             retry_backoff=self.retry_backoff,
-            on_exhausted="yield",
+            on_exhausted="yield" if self._supervised else "raise",
             with_attempt=True,
         )
         for outcome in outcomes:
             if isinstance(outcome, TaskFailure):
                 _spec, chunk_tasks, plan = chunks[outcome.task_index]
-                yield self._quarantine_chunk(run_task, _spec, chunk_tasks, plan)
+                yield self._quarantine_chunk(_spec, chunk_tasks, plan)
             else:
                 yield outcome
 
-    def _quarantine_chunk(self, run_task, spec, tasks, plan):
+    def _quarantine_chunk(self, spec, tasks, plan):
         """In-process fallback for a chunk that exhausted its retries.
 
         Each swarm gets its own fresh attempts; one that still cannot
@@ -435,7 +371,9 @@ class PersistentFleetExecution:
             last_error: Optional[BaseException] = None
             for attempt in range(self.max_retries + 1):
                 try:
-                    outcome = run_task(spec, task, faults=plan, attempt=attempt)
+                    outcome = _run_swarm_task(
+                        spec, task, faults=plan, attempt=attempt
+                    )
                     break
                 except Exception as error:  # noqa: BLE001 — quarantine boundary
                     last_error = error
@@ -461,8 +399,10 @@ class FleetScheduler(PersistentFleetExecution):
     spec:
         The frozen fleet description.
     workers:
-        ``None``/0/1 runs in-process; ``n > 1`` shards chunks over a
-        ``multiprocessing`` pool.  The result is identical either way.
+        ``None``/0/1 runs in-process; ``n > 1`` shards chunks over the
+        supervised executor of :func:`repro.experiments.runner.map_tasks`
+        (a dead worker raises instead of hanging the run).  The result is
+        identical either way.
     chunk_size:
         Consecutive swarms per worker dispatch (default: a few chunks per
         worker lane).
@@ -487,13 +427,13 @@ class FleetScheduler(PersistentFleetExecution):
         ``num_pieces <= 64`` for every swarm.
     max_retries / task_timeout / retry_backoff:
         Worker supervision (see :func:`repro.experiments.runner.map_tasks`):
-        any non-default value switches to the supervised pool, which
-        detects dead workers, respawns them, retries failed chunks with
-        deterministic backoff, and quarantines chunks that keep failing —
-        one poison swarm degrades to a ``failed`` record instead of
-        taking the run down.  Retried swarms reproduce their exact
-        records (per-swarm seeds are independent ``SeedSequence.spawn``
-        children), so fingerprints are unchanged.
+        with retries or a deadline configured, the executor respawns dead
+        workers, retries failed chunks with deterministic backoff, and
+        chunks that keep failing are quarantined — one poison swarm
+        degrades to a ``failed`` record instead of taking the run down.
+        Retried swarms reproduce their exact records (per-swarm seeds are
+        independent ``SeedSequence.spawn`` children), so fingerprints are
+        unchanged.
     rotate_every / compact_after:
         Log segmentation (see :mod:`repro.fleet.persistence`): rotate the
         active log file into a numbered closed segment every that many
@@ -691,7 +631,6 @@ class FleetScheduler(PersistentFleetExecution):
         if self.stacked:
             for task in tasks:
                 _check_stacked_task(task)
-        run_task = _run_stacked_task if self.stacked else _run_swarm_task
         run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
         try:
             if fresh:
@@ -702,7 +641,7 @@ class FleetScheduler(PersistentFleetExecution):
                 )
             if in_flight is not None:
                 index, snapshot = in_flight
-                outcome = run_task(spec, tasks[index], snapshot=snapshot)
+                outcome = _run_swarm_task(spec, tasks[index], snapshot=snapshot)
                 result.add(outcome)
                 self._append(writer, [outcome])
                 self._write_checkpoint(result, seed, writer, in_flight=None)
@@ -716,7 +655,7 @@ class FleetScheduler(PersistentFleetExecution):
                 for start in range(0, len(to_run), self.chunk_size)
             ]
             since_checkpoint = 0
-            for records in self._map_chunks(run_chunk, run_task, chunks):
+            for records in self._map_chunks(run_chunk, chunks):
                 for record in records:
                     result.add(record)
                 self._append(writer, records)
@@ -735,7 +674,7 @@ class FleetScheduler(PersistentFleetExecution):
                 and len(result.records) < spec.num_swarms
             ):
                 task = tasks[len(result.records)]
-                outcome = run_task(
+                outcome = _run_swarm_task(
                     spec, task, suspend_after_events=suspend_after_events
                 )
                 if isinstance(outcome, FleetSwarmRecord):

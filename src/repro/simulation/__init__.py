@@ -1,6 +1,5 @@
-"""Discrete-event and Markov-chain simulation substrates.
+"""Markov-chain and Poisson-process simulation substrates.
 
-* :mod:`repro.simulation.engine` — event loop and Poisson clocks;
 * :mod:`repro.simulation.ctmc` — generic and model-specific jump-chain
   simulators;
 * :mod:`repro.simulation.processes` — Poisson / compound-Poisson utilities;
@@ -8,7 +7,6 @@
 """
 
 from .ctmc import CtmcTrajectory, GenericCtmcSimulator, MarkovChainSimulator
-from .engine import EventLoop, PoissonClock
 from .processes import (
     CompoundPoissonProcess,
     MarkedPoissonProcess,
@@ -20,11 +18,9 @@ from .rng import make_rng, spawn_generators
 __all__ = [
     "CompoundPoissonProcess",
     "CtmcTrajectory",
-    "EventLoop",
     "GenericCtmcSimulator",
     "MarkedPoissonProcess",
     "MarkovChainSimulator",
-    "PoissonClock",
     "kingman_exceedance_bound",
     "make_rng",
     "spawn_generators",

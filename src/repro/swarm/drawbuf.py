@@ -243,18 +243,9 @@ class DrawBuffer:
             "uniforms": self._uniforms[self._pos :].copy(),
         }
 
-    def restore(self, state: Optional[Dict[str, Any]]) -> None:
-        """Load a :meth:`capture` payload (``None`` resets to an empty buffer).
-
-        Snapshots that predate the draw buffer (simulator snapshot format 1)
-        carry no buffer state; for those the generator was in sync with the
-        logical stream position, so an empty buffer is the exact restore.
-        """
-        if state is None:
-            self._set_block(np.empty(0, dtype=np.float64))
-            return
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Load a :meth:`capture` payload."""
         self._set_block(np.array(state["uniforms"], dtype=np.float64))
-
 
 __all__ = [
     "BLOCK_SIZE_ENV",

@@ -52,8 +52,7 @@ per-class id lists, so scenario runs stay bit-identical across backends too.
 
 Piece selection goes through the mask-level
 :meth:`~repro.swarm.policies.PieceSelectionPolicy.select_piece_mask`
-primitive; legacy ``PieceSet``-based policies are supported transparently via
-the base-class shim.
+primitive, the one contract every policy implements.
 
 Use :func:`repro.swarm.swarm.run_swarm` with ``backend="array"`` (or
 :func:`repro.swarm.swarm.make_simulator`) rather than instantiating the

@@ -18,31 +18,16 @@ Implemented policies:
   streaming-style download);
 * :class:`CallablePolicy` — wraps an arbitrary ``h(A, B, x)``-style function.
 
-Two equivalent entry points exist on every policy:
-
-* ``select_piece(downloader_pieces, uploader_pieces, view, rng)`` — the
-  original :class:`~repro.core.types.PieceSet`-level interface, kept for the
-  object simulator and for user-defined policies;
-* ``select_piece_mask(downloader_mask, uploader_mask, view, rng)`` — the
-  mask-level primitive used by the array kernel
-  (:mod:`repro.swarm.kernel`).  Masks are plain Python ints with bit ``i-1``
-  set iff piece ``i`` is held.
-
-The built-in policies implement the mask primitive natively (pure integer bit
-twiddling, no allocation) and route ``select_piece`` through it; the abstract
-base class provides the opposite shim, so a legacy policy that only implements
-``select_piece`` (e.g. :class:`CallablePolicy` or a user subclass) works on
-both backends automatically.  Both paths consume the RNG identically, which is
-what makes the two simulation backends trajectory-equivalent under a shared
-seed.
-
-.. warning:: **Perf cliff** — the legacy ``select_piece_mask`` shim on the
-   abstract base class allocates two :class:`~repro.core.types.PieceSet`
-   objects on *every* contact, which on the array kernel's hot path costs a
-   large constant factor over the built-ins' allocation-free bit arithmetic.
-   Policies that never override the mask primitive get a one-time
-   ``DeprecationWarning`` pointing here; override ``select_piece_mask``
-   directly for array-kernel speed.
+Every policy implements one primitive,
+``select_piece_mask(downloader_mask, uploader_mask, view, rng)``: masks are
+plain Python ints with bit ``i-1`` set iff piece ``i`` is held.  Both
+simulation backends reach a policy only through that primitive (the object
+simulator through the base class's ``select_piece``, which converts its
+:class:`~repro.core.types.PieceSet` arguments to masks), so a policy consumes
+the draw stream identically on either backend — which is what makes the two
+backends trajectory-equivalent under a shared seed.  The built-ins are pure
+integer bit twiddling and check usefulness before drawing
+(``rng_free_when_useless``), which licenses the array kernel's batch stage.
 
 Each policy receives a :class:`SwarmView` whose ``census`` attribute — a
 :class:`CensusSource` — gives read-only access to the piece-frequency census
@@ -57,9 +42,8 @@ they work under either.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -107,11 +91,6 @@ class OracleCensus(CensusSource):
     def __init__(self, piece_counts: Mapping[int, int]) -> None:
         self._counts = piece_counts
 
-    @property
-    def mapping(self) -> Mapping[int, int]:
-        """The underlying (read-only) piece-count mapping."""
-        return self._counts
-
     def count(self, piece: int) -> int:
         return self._counts.get(piece, 0)
 
@@ -123,10 +102,6 @@ class OracleCensus(CensusSource):
 
     def staleness(self) -> float:
         return 0.0
-
-
-#: One-per-process guard for the deprecated ``SwarmView.piece_counts`` read.
-_PIECE_COUNTS_WARNED = False
 
 
 @dataclass
@@ -155,7 +130,7 @@ class SwarmView:
     Notes
     -----
     Policies must treat the view as read-only and must not hold on to it
-    beyond the duration of one ``select_piece`` call: for speed, both
+    beyond the duration of one ``select_piece_mask`` call: for speed, both
     simulation backends reuse a single live view whose fields (including the
     census) are updated in place between events.  Under an oracle census the
     simulators wrap the count mapping in a read-only ``MappingProxyType``, so
@@ -171,29 +146,6 @@ class SwarmView:
     def piece_count(self, piece: int) -> float:
         """Number of peers currently holding ``piece`` per the census."""
         return self.census.count(piece)
-
-    @property
-    def piece_counts(self) -> Mapping[int, float]:
-        """Deprecated 1-based census mapping (read ``view.census`` instead).
-
-        Kept as a thin backward-compat shim: for an oracle census this is
-        the live count mapping as before; for a gossip census it is a dict
-        materialised from the estimate on every access.  Emits a
-        ``DeprecationWarning`` once per process.
-        """
-        global _PIECE_COUNTS_WARNED
-        if not _PIECE_COUNTS_WARNED:
-            _PIECE_COUNTS_WARNED = True
-            warnings.warn(
-                "SwarmView.piece_counts is deprecated; read the census through "
-                "view.census.count(k) / view.census.counts_array()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        census = self.census
-        if isinstance(census, OracleCensus):
-            return census.mapping
-        return {k: census.count(k) for k in range(1, self.num_pieces + 1)}
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -214,10 +166,6 @@ def _nth_set_bit(mask: int, index: int) -> int:
         mask &= mask - 1
         index -= 1
     return (mask & -mask).bit_length()
-
-
-#: One-per-process guard for the legacy ``select_piece_mask`` shim warning.
-_MASK_SHIM_WARNED = False
 
 
 class PieceSelectionPolicy(abc.ABC):
@@ -241,20 +189,6 @@ class PieceSelectionPolicy(abc.ABC):
     rng_free_when_useless = False
 
     @abc.abstractmethod
-    def select_piece(
-        self,
-        downloader_pieces: PieceSet,
-        uploader_pieces: PieceSet,
-        view: SwarmView,
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Choose the piece to transfer, or None when no useful piece exists.
-
-        Implementations must satisfy the usefulness constraint: whenever the
-        uploader holds a piece the downloader needs, a needed piece is
-        returned.
-        """
-
     def select_piece_mask(
         self,
         downloader_mask: int,
@@ -262,50 +196,12 @@ class PieceSelectionPolicy(abc.ABC):
         view: SwarmView,
         rng: np.random.Generator,
     ) -> Optional[int]:
-        """Mask-level variant of :meth:`select_piece`.
+        """Choose the piece to transfer, or None when no useful piece exists.
 
-        The default implementation wraps the masks into
-        :class:`~repro.core.types.PieceSet` objects and defers to
-        :meth:`select_piece`, so legacy policies work on the array kernel
-        unchanged — at the cost of two ``PieceSet`` allocations per contact
-        (the perf cliff flagged in the module docstring), which is why the
-        first use of this shim emits a one-time ``DeprecationWarning``.
-        Built-in policies override this with allocation-free bit arithmetic;
-        custom policies should do the same for speed.  Overrides must consume
-        the RNG exactly as their ``select_piece`` counterpart does, otherwise
-        the two backends lose trajectory equivalence.
+        Masks have bit ``i-1`` set iff piece ``i`` is held.  Implementations
+        must satisfy the usefulness constraint: whenever the uploader holds a
+        piece the downloader needs, a needed piece is returned.
         """
-        global _MASK_SHIM_WARNED
-        if not _MASK_SHIM_WARNED:
-            _MASK_SHIM_WARNED = True
-            warnings.warn(
-                f"policy {type(self).__name__!r} does not override "
-                "select_piece_mask; the legacy shim allocates two PieceSet "
-                "objects per contact on the array kernel — override the mask "
-                "primitive for speed (see the repro.swarm.policies module "
-                "docstring)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.select_piece(
-            PieceSet.from_mask(downloader_mask, view.num_pieces),
-            PieceSet.from_mask(uploader_mask, view.num_pieces),
-            view,
-            rng,
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class _MaskNativePolicy(PieceSelectionPolicy):
-    """Base for built-ins: ``select_piece`` routes through the mask primitive.
-
-    Every built-in checks usefulness before touching the RNG, so the batch
-    stage may skip them wholesale on useless contacts.
-    """
-
-    rng_free_when_useless = True
 
     def select_piece(
         self,
@@ -314,19 +210,20 @@ class _MaskNativePolicy(PieceSelectionPolicy):
         view: SwarmView,
         rng: np.random.Generator,
     ) -> Optional[int]:
+        """:class:`~repro.core.types.PieceSet` form of :meth:`select_piece_mask`."""
         return self.select_piece_mask(
             downloader_pieces.mask, uploader_pieces.mask, view, rng
         )
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
-def _useful_pieces(downloader_pieces: PieceSet, uploader_pieces: PieceSet) -> List[int]:
-    return list(downloader_pieces.useful_from(uploader_pieces))
 
-
-class RandomUsefulSelection(_MaskNativePolicy):
+class RandomUsefulSelection(PieceSelectionPolicy):
     """Uniformly random useful piece (the paper's baseline policy)."""
 
     name = "random-useful"
+    rng_free_when_useless = True
 
     def select_piece_mask(
         self,
@@ -341,10 +238,11 @@ class RandomUsefulSelection(_MaskNativePolicy):
         return _nth_set_bit(useful, int(rng.integers(useful.bit_count())))
 
 
-class RarestFirstSelection(_MaskNativePolicy):
+class RarestFirstSelection(PieceSelectionPolicy):
     """Transfer the useful piece with the fewest copies in the population."""
 
     name = "rarest-first"
+    rng_free_when_useless = True
 
     def select_piece_mask(
         self,
@@ -363,10 +261,11 @@ class RarestFirstSelection(_MaskNativePolicy):
         return int(candidates[rng.integers(len(candidates))])
 
 
-class MostCommonFirstSelection(_MaskNativePolicy):
+class MostCommonFirstSelection(PieceSelectionPolicy):
     """Transfer the useful piece with the *most* copies (worst-case diversity)."""
 
     name = "most-common-first"
+    rng_free_when_useless = True
 
     def select_piece_mask(
         self,
@@ -385,10 +284,11 @@ class MostCommonFirstSelection(_MaskNativePolicy):
         return int(candidates[rng.integers(len(candidates))])
 
 
-class SequentialSelection(_MaskNativePolicy):
+class SequentialSelection(PieceSelectionPolicy):
     """Transfer the lowest-numbered useful piece (in-order download)."""
 
     name = "sequential"
+    rng_free_when_useless = True
 
     def select_piece_mask(
         self,
@@ -406,12 +306,10 @@ class SequentialSelection(_MaskNativePolicy):
 class CallablePolicy(PieceSelectionPolicy):
     """Adapt an arbitrary function into a policy.
 
-    The function receives the downloader's pieces, the uploader's pieces, the
-    swarm view and an RNG, and must return a needed piece (or raise).  A
-    usefulness check wraps the result so that a buggy function cannot violate
-    the Theorem-14 constraint silently.  Census-aware callables should read
-    piece frequencies through ``view.census.count(k)`` (the deprecated
-    ``view.piece_counts[k]`` mapping still works but warns)::
+    The function receives the downloader's pieces, the uploader's pieces (as
+    :class:`~repro.core.types.PieceSet`), the swarm view and an RNG, and must
+    return a needed piece (or raise).  Census-aware callables read piece
+    frequencies through ``view.census.count(k)``::
 
         def prefer_rare_evens(downloader, uploader, view, rng):
             useful = sorted(downloader.useful_from(uploader))
@@ -420,14 +318,13 @@ class CallablePolicy(PieceSelectionPolicy):
 
         policy = CallablePolicy(prefer_rare_evens, name="rare-evens")
 
-    On the array kernel the inherited :meth:`select_piece_mask` shim converts
-    the masks back into :class:`PieceSet` objects before calling the wrapped
-    function, so existing callables keep working unmodified (with the shim's
-    one-time ``DeprecationWarning`` and per-contact allocation cost).
+    :meth:`select_piece_mask` checks usefulness on the masks first and
+    returns ``None`` on a useless contact without calling the function (so
+    without drawing); only a useful contact builds the two ``PieceSet``
+    arguments.  The returned piece is checked against the useful set, so a
+    buggy function cannot violate the Theorem-14 constraint silently.
     """
 
-    #: The usefulness pre-check below returns before the wrapped function
-    #: (and therefore the RNG) is ever reached on a useless contact.
     rng_free_when_useless = True
 
     def __init__(
@@ -438,21 +335,29 @@ class CallablePolicy(PieceSelectionPolicy):
         self._func = func
         self.name = name
 
-    def select_piece(
+    def select_piece_mask(
         self,
-        downloader_pieces: PieceSet,
-        uploader_pieces: PieceSet,
+        downloader_mask: int,
+        uploader_mask: int,
         view: SwarmView,
         rng: np.random.Generator,
     ) -> Optional[int]:
-        useful = _useful_pieces(downloader_pieces, uploader_pieces)
+        useful = uploader_mask & ~downloader_mask
         if not useful:
             return None
-        piece = int(self._func(downloader_pieces, uploader_pieces, view, rng))
-        if piece not in useful:
+        num_pieces = view.num_pieces
+        piece = int(
+            self._func(
+                PieceSet.from_mask(downloader_mask, num_pieces),
+                PieceSet.from_mask(uploader_mask, num_pieces),
+                view,
+                rng,
+            )
+        )
+        if piece < 1 or not useful >> (piece - 1) & 1:
             raise ValueError(
                 f"policy {self.name!r} selected piece {piece}, which is not useful "
-                f"(useful pieces: {useful})"
+                f"(useful pieces: {_mask_bits(useful)})"
             )
         return piece
 

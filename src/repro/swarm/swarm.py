@@ -708,14 +708,9 @@ class _SwarmEventLoop:
 
     # -- snapshot / restore ------------------------------------------------------
 
-    #: Version tag of the snapshot layout produced by :meth:`capture_state`.
-    #: Format 2 added the draw-buffer remainder (``"draws"``); format-1
-    #: snapshots (which predate the buffer and whose RNG state is in sync
-    #: with the logical stream position) are still restorable.
+    #: Version tag of the snapshot layout produced by :meth:`capture_state`;
+    #: :meth:`restore_state` accepts only this format.
     SNAPSHOT_FORMAT = 2
-
-    #: Snapshot formats :meth:`restore_state` accepts.
-    SUPPORTED_SNAPSHOT_FORMATS = (1, 2)
 
     def capture_state(self) -> Dict[str, Any]:
         """Serialise the simulator's full mutable state into a picklable dict.
@@ -767,10 +762,10 @@ class _SwarmEventLoop:
         scenario); mismatches raise ``ValueError``.  The snapshot itself is
         never mutated, so the same snapshot can be restored repeatedly.
         """
-        if snapshot.get("format") not in self.SUPPORTED_SNAPSHOT_FORMATS:
+        if snapshot.get("format") != self.SNAPSHOT_FORMAT:
             raise ValueError(
                 f"unsupported snapshot format {snapshot.get('format')!r} "
-                f"(supported: {self.SUPPORTED_SNAPSHOT_FORMATS})"
+                f"(supported: {self.SNAPSHOT_FORMAT})"
             )
         if snapshot["backend"] != self.backend_name:
             raise ValueError(
@@ -789,9 +784,7 @@ class _SwarmEventLoop:
                 f"the simulator's scenario {expected_scenario!r}"
             )
         self.rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
-        # Format-1 snapshots predate the draw buffer: their generator state
-        # carries no look-ahead, so an empty buffer restores them exactly.
-        self.draws.restore(snapshot.get("draws"))
+        self.draws.restore(snapshot["draws"])
         self._time = snapshot["time"]
         self.metrics = copy.deepcopy(snapshot["metrics"])
         run = snapshot["run"]

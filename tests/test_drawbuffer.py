@@ -4,8 +4,8 @@ The blocked-draw contract (see ``repro.swarm.drawbuf``): draw number ``k``
 of a simulation reads stream position ``k`` of the underlying PCG64
 generator regardless of block size, so every block size yields bit-identical
 trajectories; snapshots carry the un-consumed block remainder so mid-block
-restores continue exactly; and snapshots/checkpoints that predate the buffer
-(format 1, no look-ahead) still restore.
+restores continue exactly; and snapshots, checkpoints and logs in formats
+earlier builds wrote are rejected.
 """
 
 import pickle
@@ -195,64 +195,15 @@ class TestSnapshotMidBlock:
 
 
 class TestLegacySnapshotFormats:
-    """Format-1 snapshots (pre-buffer) and old fleet checkpoints restore."""
+    """Only the current snapshot, checkpoint and log formats load; formats
+    earlier builds wrote are rejected with a pointed error."""
 
-    def _legacy_snapshot(self, backend):
-        """A faithful format-1 snapshot: captured at block size 1, where the
-        generator holds no look-ahead, then stripped of the buffer state."""
-        simulator = make_simulator(
-            _params(), seed=47, backend=backend, draw_block_size=1
-        )
-        simulator.run(
-            9.0,
-            initial_state=SystemState.one_club(4, 25),
-            max_events=500,
-            suspend_after_events=37,
-        )
-        snapshot = simulator.capture_state()
-        assert len(snapshot["draws"]["uniforms"]) == 0
-        del snapshot["draws"]
-        snapshot["format"] = 1
-        reference = simulator.run(9.0, resume=True, max_events=500)
-        return snapshot, reference
+    @staticmethod
+    def _small_fleet_spec():
+        from repro.fleet import FixedSampler, FleetSpec
 
-    @pytest.mark.parametrize("backend", ("object", "array"))
-    def test_format_1_snapshot_restores(self, backend):
-        snapshot, reference = self._legacy_snapshot(backend)
-        fresh = make_simulator(_params(), seed=0, backend=backend)
-        fresh.restore_state(snapshot)
-        resumed = fresh.run(9.0, resume=True, max_events=500)
-        assert resumed.final_state == reference.final_state
-        assert resumed.final_time == reference.final_time
-
-    def test_unknown_format_still_rejected(self):
-        simulator = make_simulator(_params(), seed=1)
-        snapshot = simulator.capture_state()
-        snapshot["format"] = 999
-        with pytest.raises(ValueError, match="format"):
-            simulator.restore_state(snapshot)
-
-    def test_old_fleet_checkpoint_with_format_1_kernel_snapshot(
-        self, tmp_path, monkeypatch
-    ):
-        """A fleet checkpoint written before the draw buffer existed carries
-        a format-1 in-flight kernel snapshot; resume must accept it."""
-        from repro.fleet import (
-            FixedSampler,
-            FleetSpec,
-            load_checkpoint,
-            resume_fleet,
-            run_fleet,
-        )
-        from repro.fleet.checkpoint import save_checkpoint
-
-        # Block size 1 reproduces the pre-buffer capture exactly: the
-        # generator is in sync, so stripping the (empty) buffer state and
-        # stamping format 1 yields a checkpoint an old build would have
-        # written for the same trajectory.
-        monkeypatch.setenv(BLOCK_SIZE_ENV, "1")
-        spec = FleetSpec(
-            name="legacy-ckpt",
+        return FleetSpec(
+            name="legacy-formats",
             num_swarms=6,
             sampler=FixedSampler.of(
                 num_pieces=4,
@@ -266,27 +217,91 @@ class TestLegacySnapshotFormats:
             backend="array",
             initial_club_size=10,
         )
-        uninterrupted = run_fleet(spec, seed=21)
-        path = tmp_path / "fleet.ckpt"
-        run_fleet(
-            spec,
-            seed=21,
-            checkpoint_path=path,
-            stop_after_swarms=3,
-            suspend_after_events=40,
+
+    @pytest.mark.parametrize("backend", ("object", "array"))
+    def test_format_1_snapshot_rejected(self, backend):
+        """A pre-buffer snapshot: format 1, no ``draws`` entry."""
+        simulator = make_simulator(_params(), seed=47, backend=backend)
+        simulator.run(
+            9.0,
+            initial_state=SystemState.one_club(4, 25),
+            max_events=500,
+            suspend_after_events=37,
         )
-        checkpoint = load_checkpoint(path)
-        assert checkpoint.in_flight is not None
-        index, snapshot = checkpoint.in_flight
-        assert len(snapshot["draws"]["uniforms"]) == 0
+        snapshot = simulator.capture_state()
         del snapshot["draws"]
         snapshot["format"] = 1
-        checkpoint.in_flight = (index, snapshot)
-        save_checkpoint(path, checkpoint)
-        # The new build (any block size) resumes the old checkpoint exactly.
-        monkeypatch.delenv(BLOCK_SIZE_ENV)
-        resumed = resume_fleet(path)
-        assert resumed == uninterrupted
+        fresh = make_simulator(_params(), seed=0, backend=backend)
+        with pytest.raises(ValueError, match="format"):
+            fresh.restore_state(snapshot)
+
+    def test_unknown_format_still_rejected(self):
+        simulator = make_simulator(_params(), seed=1)
+        snapshot = simulator.capture_state()
+        snapshot["format"] = 999
+        with pytest.raises(ValueError, match="format"):
+            simulator.restore_state(snapshot)
+
+    def test_format_2_fleet_checkpoint_rejected(self, tmp_path):
+        """A format-2 pickle: no ``log_segment`` field, ``format == 2``."""
+        from repro.fleet import load_checkpoint
+        from repro.fleet.checkpoint import FleetCheckpoint
+
+        checkpoint = FleetCheckpoint(
+            spec=self._small_fleet_spec(),
+            seed=21,
+            num_records=0,
+            log_name="fleet.ckpt.jsonl",
+            log_offset=0,
+            format=2,
+        )
+        del checkpoint.__dict__["log_segment"]
+        path = tmp_path / "fleet.ckpt"
+        path.write_bytes(pickle.dumps(checkpoint))
+        with pytest.raises(ValueError, match="format"):
+            load_checkpoint(path)
+
+    def _fleet_log_lines(self, tmp_path):
+        from repro.fleet import run_fleet
+
+        path = tmp_path / "fleet.jsonl"
+        run_fleet(self._small_fleet_spec(), seed=21, log_path=path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_schema_1_log_header_rejected(self, tmp_path):
+        """A schema-1 header: ``schema == 1`` and no checksum."""
+        import json
+
+        from repro.fleet import FleetLogError, read_log
+
+        path, lines = self._fleet_log_lines(tmp_path)
+        header = json.loads(lines[0])
+        del header["crc"]
+        header["schema"] = 1
+        lines[0] = json.dumps(header, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(FleetLogError, match="schema"):
+            read_log(path)
+
+    def test_record_without_crc_is_corrupt(self, tmp_path):
+        """A schema-2 record line that lost its ``crc`` key fails strict
+        reads and is skipped, not accepted, by salvage mode."""
+        import json
+
+        from repro.fleet import FleetLogError, read_log
+
+        path, lines = self._fleet_log_lines(tmp_path)
+        intact = read_log(path)
+        record = json.loads(lines[2])
+        del record["crc"]
+        lines[2] = json.dumps(record, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(FleetLogError, match="corrupt"):
+            read_log(path)
+        with pytest.warns(UserWarning, match="corrupt"):
+            salvaged = read_log(path, strict=False)
+        assert salvaged.salvaged == 1
+        assert salvaged.records == intact.records[:1] + intact.records[2:]
 
 
 class TestRestoreIntoUsedSimulator:

@@ -18,10 +18,12 @@ The ``chaos``-named tests double as the CI chaos smoke step
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -29,6 +31,7 @@ import pytest
 
 from repro.experiments.runner import (
     TaskFailure,
+    WorkerCrashError,
     map_tasks,
 )
 from repro.fleet import (
@@ -159,6 +162,58 @@ def _stalling_task(task, attempt):
     if stalls and attempt == 0:
         time.sleep(60.0)
     return value * 2
+
+
+def _exit_on_three(value):
+    if value == 3:
+        os._exit(1)
+    return value
+
+
+def _key_error_on_two(value):
+    if value == 2:
+        raise KeyError(f"no entry for {value}")
+    return value
+
+
+def _slow_identity(value):
+    time.sleep(0.2)
+    return value
+
+
+class TestDefaultPoolPath:
+    """``map_tasks`` on a pool with every option at its default."""
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        outcome = {}
+
+        def consume():
+            try:
+                outcome["result"] = list(map_tasks(_exit_on_three, range(6), 2))
+            except Exception as error:  # noqa: BLE001 — handed to the test
+                outcome["error"] = error
+
+        thread = threading.Thread(target=consume, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "map_tasks hung on a dead worker"
+        assert isinstance(outcome.get("error"), WorkerCrashError)
+
+    def test_task_error_keeps_its_type(self):
+        with pytest.raises(KeyError, match="no entry for 2"):
+            list(map_tasks(_key_error_on_two, range(6), 2))
+
+    def test_early_close_leaves_no_live_workers(self):
+        before = set(multiprocessing.active_children())
+        outcomes = map_tasks(_slow_identity, range(8), 2)
+        assert next(outcomes) == 0
+        workers = set(multiprocessing.active_children()) - before
+        assert workers
+        outcomes.close()
+        deadline = time.monotonic() + 10.0
+        while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(w.is_alive() for w in workers)
 
 
 class TestSupervisedMapTasks:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.swarm.policies as policies_module
 from repro.core.scenario import base_params, make_scenario
 from repro.core.state import SystemState
 from repro.fleet import resume_fleet, run_fleet
@@ -30,6 +29,7 @@ from repro.swarm.gossip import (
     build_gossip,
 )
 from repro.swarm.policies import (
+    CallablePolicy,
     OracleCensus,
     RarestFirstSelection,
     SwarmView,
@@ -261,44 +261,30 @@ class TestCensusSourceAPI:
         )
         assert view.piece_count(1) == 4
 
-    def test_piece_counts_property_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(policies_module, "_PIECE_COUNTS_WARNED", False)
-        view = SwarmView(
-            num_pieces=2, census=OracleCensus({1: 4, 2: 1}), total_peers=5, time=0.0
-        )
-        with pytest.warns(DeprecationWarning, match="view.census.count"):
-            counts = view.piece_counts
-        assert counts[1] == 4
-        # Second access: the process-wide guard suppresses the warning.
-        import warnings as _warnings
+    def test_callable_policy_backends_identical_without_warnings(self):
+        """A census-aware ``CallablePolicy`` runs through the one mask
+        contract on both backends: identical trajectories, no warning."""
+        import warnings
 
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert view.piece_counts[2] == 1
+        def rarest_random_tie(downloader, uploader, view, rng):
+            useful = list(downloader.useful_from(uploader))
+            counts = [view.census.count(k) for k in useful]
+            ties = [k for k, c in zip(useful, counts) if c == min(counts)]
+            return ties[int(rng.integers(len(ties)))]
 
-    def test_mask_shim_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(policies_module, "_MASK_SHIM_WARNED", False)
-        from repro.swarm.policies import CallablePolicy
-
-        policy = CallablePolicy(
-            lambda downloader, uploader, view, rng: max(
-                downloader.useful_from(uploader)
-            )
-        )
-        view = SwarmView(
-            num_pieces=3,
-            census=OracleCensus({1: 1, 2: 1, 3: 1}),
-            total_peers=3,
-            time=0.0,
-        )
-        rng = np.random.default_rng(0)
-        with pytest.warns(DeprecationWarning, match="select_piece_mask"):
-            policy.select_piece_mask(0b001, 0b110, view, rng)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            policy.select_piece_mask(0b001, 0b110, view, rng)
+        policy = CallablePolicy(rarest_random_tie, name="rarest-random-tie")
+        scenario = make_scenario("flash-crowd", census="gossip")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [
+                run_swarm(
+                    scenario.params, horizon=8.0, seed=5, policy=policy,
+                    scenario=scenario, backend=backend, max_events=600,
+                )
+                for backend in ("object", "array")
+            ]
+        assert metrics_tuple(runs[0]) == metrics_tuple(runs[1])
+        assert runs[0].metrics.total_downloads > 0
 
 
 class TestGossipBackendEquivalence:

@@ -1,4 +1,4 @@
-"""Unit tests for the simulation substrates (rng, engine, processes, ctmc)."""
+"""Unit tests for the simulation substrates (rng, processes, ctmc)."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.simulation.ctmc import GenericCtmcSimulator, MarkovChainSimulator
-from repro.simulation.engine import EventLoop, PoissonClock
 from repro.simulation.processes import (
     CompoundPoissonProcess,
     MarkedPoissonProcess,
@@ -64,113 +63,6 @@ class TestRng:
 
     def test_poisson_zero_rate(self, rng):
         assert poisson_arrival_times(rng, 0.0, 10.0).size == 0
-
-
-class TestEventLoop:
-    def test_events_fire_in_time_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(2.0, lambda: fired.append("b"))
-        loop.schedule(1.0, lambda: fired.append("a"))
-        loop.schedule(3.0, lambda: fired.append("c"))
-        loop.run_until(10.0)
-        assert fired == ["a", "b", "c"]
-        assert loop.now == 10.0
-
-    def test_cancelled_event_does_not_fire(self):
-        loop = EventLoop()
-        fired = []
-        handle = loop.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        loop.run_until(5.0)
-        assert fired == []
-        assert handle.is_cancelled
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventLoop().schedule(-1.0, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        loop = EventLoop(start_time=5.0)
-        fired = []
-        loop.schedule_at(7.0, lambda: fired.append(loop.now))
-        with pytest.raises(ValueError):
-            loop.schedule_at(4.0, lambda: None)
-        loop.run_until(10.0)
-        assert fired == [7.0]
-
-    def test_infinite_delay_never_fires(self):
-        loop = EventLoop()
-        handle = loop.schedule(math.inf, lambda: None)
-        assert handle.is_cancelled
-        assert loop.peek_time() == math.inf
-
-    def test_run_until_respects_max_events(self):
-        loop = EventLoop()
-        for i in range(10):
-            loop.schedule(0.1 * (i + 1), lambda: None)
-        executed = loop.run_until(100.0, max_events=4)
-        assert executed == 4
-
-    def test_events_scheduled_during_events(self):
-        loop = EventLoop()
-        fired = []
-
-        def chain():
-            fired.append(loop.now)
-            if len(fired) < 3:
-                loop.schedule(1.0, chain)
-
-        loop.schedule(1.0, chain)
-        loop.run_until(10.0)
-        assert fired == [1.0, 2.0, 3.0]
-
-
-class TestPoissonClock:
-    def test_tick_rate_approximates_rate(self, rng):
-        loop = EventLoop()
-        ticks = []
-        clock = PoissonClock(loop, rng, rate=5.0, on_tick=lambda: ticks.append(loop.now))
-        clock.start()
-        loop.run_until(200.0)
-        assert len(ticks) == pytest.approx(1000, rel=0.15)
-
-    def test_stop_prevents_future_ticks(self, rng):
-        loop = EventLoop()
-        ticks = []
-        clock = PoissonClock(loop, rng, rate=10.0, on_tick=lambda: ticks.append(1))
-        clock.start()
-        loop.run_until(5.0)
-        count = len(ticks)
-        clock.stop()
-        loop.run_until(50.0)
-        assert len(ticks) == count
-        assert not clock.is_running
-
-    def test_zero_rate_never_ticks(self, rng):
-        loop = EventLoop()
-        ticks = []
-        clock = PoissonClock(loop, rng, rate=0.0, on_tick=lambda: ticks.append(1))
-        clock.start()
-        loop.run_until(100.0)
-        assert ticks == []
-
-    def test_set_rate_changes_frequency(self, rng):
-        loop = EventLoop()
-        ticks = []
-        clock = PoissonClock(loop, rng, rate=1.0, on_tick=lambda: ticks.append(loop.now))
-        clock.start()
-        loop.run_until(50.0)
-        slow_count = len(ticks)
-        clock.set_rate(20.0)
-        loop.run_until(100.0)
-        fast_count = len(ticks) - slow_count
-        assert fast_count > 5 * max(slow_count, 1)
-
-    def test_negative_rate_rejected(self, rng):
-        loop = EventLoop()
-        with pytest.raises(ValueError):
-            PoissonClock(loop, rng, rate=-1.0, on_tick=lambda: None)
 
 
 class TestProcesses:
