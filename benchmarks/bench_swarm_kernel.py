@@ -53,7 +53,8 @@ def test_stable_kernel_throughput_smoke(benchmark, capsys):
             f"array {array_run['events_per_second']:,.0f} ev/s "
             f"({speedup:.1f}x); batch stage: {gate['probes_run']:,} probes, "
             f"{gate['probes_skipped']:,} skipped, "
-            f"{gate['events_batched']:,} events batched"
+            f"{gate['events_batched']:,} events batched; "
+            f"{array_run['rate_refreshes']:,} rate refreshes"
         )
     assert array_run["final_population"] == object_run["final_population"]
     # Nearly every probe fails here, so the yield gate skips most entries.

@@ -287,6 +287,8 @@ def _measure_throughput(spec: dict, backend: str, scenario=None) -> dict:
         "repetitions": [round(t, 4) for t in timings],
         "final_population": result.final_population,
         "thinned_events": result.metrics.thinned_events,
+        # Event-rate cache rebuilds of the whole run (deterministic).
+        "rate_refreshes": simulator.rate_refreshes,
     }
     if backend == "array":
         # Deterministic batch-stage counters of the whole run (warm-up

@@ -35,8 +35,8 @@ Usage::
 With ``--topology`` the phase table gains overlay rows — arrival wiring,
 churn rewiring and the per-contact neighbor draw — so overlay overhead is
 attributable next to the draw/apply/census split.  On the array backend
-the table is followed by the kernel's batch-stage counters: probes run,
-entries skipped by the yield gate, and events batched.  ``--stable`` runs
+the table is followed by the kernel's deterministic counters: probes run,
+entries skipped by the yield gate, events batched, and rate-cache refreshes.  ``--stable`` runs
 the stable-regime workload (``STABLE_BENCH_WORKLOAD``, started empty), where
 real transfers dominate and the yield gate keeps failed probes cheap.
 """
@@ -193,7 +193,9 @@ def run_phase_table(args) -> None:
             f"batch stage: {simulator.probes_run:,} probes run, "
             f"{simulator.probes_skipped:,} entries skipped by the yield gate, "
             f"{simulator.events_batched:,} events batched "
-            f"({simulator.events_batched / max(events, 1):.1%} of events)"
+            f"({simulator.events_batched / max(events, 1):.1%} of events); "
+            f"{simulator.rate_refreshes:,} rate refreshes "
+            f"({simulator.rate_refreshes / max(events, 1):.1%} of events)"
         )
 
 
@@ -254,9 +256,9 @@ def run_stacked_phase_table(args) -> None:
         # overlap; shares are of wall, not of each other.
         (_SwarmEventLoop, "_apply_arrival_event", "dispatch · arrival"),
         (_SwarmEventLoop, "_apply_seed_tick_event", "dispatch · seed tick"),
-        (_SwarmEventLoop, "_apply_peer_tick_event", "dispatch · peer tick"),
+        (ArraySwarmKernel, "_handle_peer_tick", "dispatch · peer tick"),
         (ArraySwarmKernel, "_apply_transfer_tick", "dispatch · transfer"),
-        (_SwarmEventLoop, "_apply_departure_event", "dispatch · departure"),
+        (ArraySwarmKernel, "_handle_seed_departure", "dispatch · departure"),
         (ArraySwarmKernel, "_batch_thinned", "dispatch · thinned"),
     ]
     with _timed_methods(targets) as totals:

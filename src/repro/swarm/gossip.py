@@ -325,8 +325,8 @@ class GossipState:
             "last_update": self.last_update[: self.n].copy(),
         }
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`capture` payload (exact, focus reset)."""
+    def check_restorable(self, state: Dict[str, Any]) -> None:
+        """Raise ``ValueError`` unless :meth:`restore` accepts ``state``."""
         if (
             state["exchange_rate"] != self.exchange_rate
             or state["damping"] != self.damping
@@ -337,6 +337,10 @@ class GossipState:
                 "not match the configured census (exchange_rate="
                 f"{self.exchange_rate!r}, damping={self.damping!r})"
             )
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Restore a :meth:`capture` payload (exact, focus reset)."""
+        self.check_restorable(state)
         n = int(state["n"])
         self._grow(n)
         self.n = n

@@ -35,6 +35,14 @@ produces bit-identical trajectories (populations, piece censuses, one-club
 sizes, metrics).  ``tests/test_property_based.py`` asserts this property;
 any change to a handler of either backend must preserve it (or update both).
 
+The driver's rate cache is rebuilt only when ``_rates_dirty`` is set (see
+``_SwarmEventLoop``), so every code path here that moves a row, a seed or a
+sped-up entry must go through ``_add_peer`` / ``_remove_peer`` /
+``_add_seed`` / ``_remove_seed`` / ``_add_sped`` / ``_discard_sped`` /
+``seed_population``, which set it, or set it itself.  A useful peer tick
+that completes nobody (the stable regime's dominant event) keeps the cache
+clean and draws its ticker and target rows inline.
+
 On top of the scalar handlers the kernel adds a **vectorized batch stage**
 (:meth:`_batch_stage`): runs of state-neutral events — wasted peer ticks,
 the dominant event of a captured swarm — are classified against the pending
@@ -178,7 +186,11 @@ class ArraySwarmKernel(_SwarmEventLoop):
             and self._gossip is None
         )
         self._reset_probe_gate()
+        # Homogeneous uniform contacts: peer ticks take the flat inline path.
+        self._flat_ticks = self._classes is None and self._overlay is None
         self._membership_version = 0
+        # Membership version the view's ``class_counts`` was built at.
+        self._view_version = -1
         self._ticker_cache: Optional[dict] = None
         # Incremental numpy mirror of ``_class_members`` (built lazily on
         # the first ticker-table rebuild, kept in sync by the membership
@@ -316,6 +328,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             class_index
         ):
             self._add_seed(row)
+        self._rates_dirty = True
         self.metrics.total_arrivals += 1
         if self._overlay is not None:
             self._overlay.on_arrival(row, self.draws)
@@ -393,6 +406,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             self._sped_slot[row] = sped_slot
             if sped_slot >= 0:
                 self._sped_list_of(last)[sped_slot] = row
+        self._rates_dirty = True
         self.metrics.record_departure(
             sojourn=sojourn,
             download_time=None if math.isnan(completed) else completed - arrival,
@@ -412,6 +426,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         seeds = self._seed_list_of(row)
         self._seed_slot[row] = len(seeds)
         seeds.append(row)
+        self._rates_dirty = True
 
     def _remove_seed(self, row: int) -> None:
         seeds = self._seed_list_of(row)
@@ -421,12 +436,14 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if last_row != row:
             seeds[index] = last_row
             self._seed_slot[last_row] = index
+        self._rates_dirty = True
 
     def _add_sped(self, row: int) -> None:
         if self._sped_slot[row] < 0:
             sped = self._sped_list_of(row)
             self._sped_slot[row] = len(sped)
             sped.append(row)
+            self._rates_dirty = True
 
     def _discard_sped(self, row: int) -> None:
         index = int(self._sped_slot[row])
@@ -438,6 +455,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if last_row != row:
             sped[index] = last_row
             self._sped_slot[last_row] = index
+        self._rates_dirty = True
 
     # -- snapshot hooks ----------------------------------------------------------
 
@@ -519,6 +537,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 continue
             mask = type_c.mask
             self._membership_version += 1
+            self._rates_dirty = True
             while self._n + count > len(self._masks):
                 self._grow()
             start = self._n
@@ -591,22 +610,26 @@ class ArraySwarmKernel(_SwarmEventLoop):
             return int(threshold)
         return self._sped[min(int((threshold - population) / extra), sped - 1)]
 
-    def _refresh_view(self) -> SwarmView:
-        view = self._view
-        view.total_peers = self._n
-        view.time = self._time
-        if self._classes is not None:
-            view.class_counts = tuple(len(m) for m in self._class_members)
-        return view
-
     def _transfer(self, uploader_mask: int, row: int, from_seed: bool) -> bool:
         """Attempt a useful upload into the peer at ``row``."""
-        downloader_mask = int(self._masks[row])
+        masks = self._masks
+        downloader_mask = masks.item(row)
         if self._gossip is not None:
             # The policy reads the census as the *downloader* estimates it.
             self._gossip.focus(row, self._n, self._time)
+        # Refresh the live view in place; the per-class counts only move
+        # when membership does.
+        view = self._view
+        view.total_peers = self._n
+        view.time = self._time
+        if (
+            self._classes is not None
+            and self._view_version != self._membership_version
+        ):
+            view.class_counts = tuple(len(m) for m in self._class_members)
+            self._view_version = self._membership_version
         piece = self.policy.select_piece_mask(
-            downloader_mask, uploader_mask, self._refresh_view(), self.draws
+            downloader_mask, uploader_mask, view, self.draws
         )
         if piece is None:
             self.metrics.wasted_contacts += 1
@@ -625,13 +648,13 @@ class ArraySwarmKernel(_SwarmEventLoop):
             self._one_club_count -= 1
         if (
             piece == rare
-            and not self._arrived_with_rare[row]
+            and not self._arrived_with_rare.item(row)
             and self.params.num_pieces - downloader_mask.bit_count() >= 2
-            and not self._infected[row]
+            and not self._infected.item(row)
         ):
             self._infected[row] = True
         new_mask = downloader_mask | piece_bit
-        self._masks[row] = new_mask
+        masks[row] = new_mask
         if new_mask == self._club_mask:
             self._one_club_count += 1
         self._piece_counts[piece] += 1
@@ -645,7 +668,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             departs = (
                 self._immediate_departure
                 if self._classes is None
-                else self._classes[int(self._class_idx[row])].immediate_departure
+                else self._classes[self._class_idx.item(row)].immediate_departure
             )
             if departs:
                 self._remove_peer(row)
@@ -669,7 +692,28 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._transfer(self._full_mask, target, from_seed=True)
 
     def _handle_peer_tick(self) -> None:
-        if self._n == 0:
+        n = self._n
+        if n == 0:
+            return
+        if self._flat_ticks and not self._sped:
+            # Flat tick: ticker and target are two ``draws.integers(n)``
+            # read straight from the pending block (same truncate-and-clamp),
+            # falling back to the buffer when they straddle a block boundary.
+            draws = self.draws
+            pos = draws._pos
+            if pos + 1 < draws._len:
+                uniforms = draws._uniforms
+                uploader = int(uniforms.item(pos) * n)
+                if uploader >= n:
+                    uploader = n - 1
+                target = int(uniforms.item(pos + 1) * n)
+                if target >= n:
+                    target = n - 1
+                draws._pos = pos + 2
+            else:
+                uploader = draws.integers(n)
+                target = draws.integers(n)
+            self._apply_transfer_tick(uploader, target)
             return
         uploader = self._sample_ticking_row()
         overlay = self._overlay
@@ -708,7 +752,8 @@ class ArraySwarmKernel(_SwarmEventLoop):
         (the piece pick, when the contact is useful).
         """
         # A ticking peer's speedup (if any) is consumed by this tick.
-        self._discard_sped(uploader)
+        if self._sped_slot.item(uploader) >= 0:
+            self._discard_sped(uploader)
         if self._gossip is not None:
             # One gossip uniform per peer tick, after the ticker/target
             # draws and before the transfer — mirroring the object backend.
@@ -721,7 +766,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             success = False
         else:
             success = self._transfer(
-                int(self._masks[uploader]), target, from_seed=False
+                self._masks.item(uploader), target, from_seed=False
             )
         if not success and self.retry_speedup > 1.0:
             self._add_sped(uploader)
@@ -851,8 +896,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
 
     def _batch_stage(
         self,
-        rates: Tuple[float, float, float, float],
-        total: float,
         horizon: float,
         interval: float,
         next_sample: float,
@@ -905,8 +948,10 @@ class ArraySwarmKernel(_SwarmEventLoop):
         draws = self.draws
         if draws.remaining() < 2:
             return 0, next_sample
-        r01 = rates[0] + rates[1]
-        r012 = r01 + rates[2]
+        rates = self._rates
+        total = self._rate_total
+        r01 = self._rate_r01
+        r012 = self._rate_r012
         # Scalar pre-check of the first candidate, so event streams that are
         # not batchable skip the vector classification entirely.
         first_sel = float(draws.uniforms_view(2)[1]) * total
@@ -921,7 +966,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 rates[0] < first_sel <= r01 and self._thin_seed
             ):
                 applied, next_sample = self._batch_thinned(
-                    rates, total, horizon, interval, next_sample, limit
+                    horizon, interval, next_sample, limit
                 )
                 self.events_batched += applied
                 return applied, next_sample
@@ -992,7 +1037,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         # accumulation order, grid recording and horizon comparison as the
         # scalar loop (the exponentials are the block's precomputed
         # inverse-transform values, so the doubles match too).
-        scale = 1.0 / total
+        scale = self._rate_scale
         time = self._time
         record = self._record_sample
         applied = 0
@@ -1021,8 +1066,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
 
     def _batch_thinned(
         self,
-        rates: Tuple[float, float, float, float],
-        total: float,
         horizon: float,
         interval: float,
         next_sample: float,
@@ -1053,11 +1096,12 @@ class ArraySwarmKernel(_SwarmEventLoop):
             candidates = limit
         if candidates <= 0:
             return 0, next_sample
-        r0 = rates[0]
-        r01 = r0 + rates[1]
+        r0 = self._rates[0]
+        r01 = self._rate_r01
+        total = self._rate_total
         thin_arrivals = self._thin_arrivals
         thin_seed = self._thin_seed
-        scale = 1.0 / total
+        scale = self._rate_scale
         record = self._record_sample
 
         # Scalar probe walk: rejection runs are usually short (a surge

@@ -105,6 +105,15 @@ class _StackedLane(ArraySwarmKernel):
         if self._stack is not None:
             self._stack._adopt(self)
 
+    def _record_grid_until(self, until: float, horizon: float, interval: float) -> None:
+        """Record the sample-grid points before ``until`` (the solo loop's
+        time-correct walk, with the grid cursor kept on the lane)."""
+        next_sample = self._next_sample
+        while next_sample <= horizon and next_sample < until:
+            self._record_sample(next_sample)
+            next_sample += interval
+        self._next_sample = next_sample
+
 
 def _clone_lane(template: _StackedLane, seed: SeedLike) -> _StackedLane:
     """A fresh lane sharing the template's immutable digested configuration.
@@ -144,7 +153,10 @@ def _clone_lane(template: _StackedLane, seed: SeedLike) -> _StackedLane:
     lane._overlay = build_overlay(template._topology)
     lane._gossip = build_gossip(template._census_spec, template.params.num_pieces)
     lane._cull_done = False
+    lane._rates_dirty = True
+    lane.rate_refreshes = 0
     lane._membership_version = 0
+    lane._view_version = -1
     lane._ticker_cache = None
     lane._class_member_bufs = None
     lane._reset_probe_gate()
@@ -361,7 +373,6 @@ class StackedSwarmKernel:
                 lane._run_interval = interval
                 lane._next_sample = 0.0
                 lane._events = 0
-            lane._stk_dirty = True
             lane._stk_window = _MIN_WINDOW
             # Overlay lanes cannot join the cross-lane classification:
             # phases 3/4 draw contact targets uniformly over the mask sheet,
@@ -371,26 +382,6 @@ class StackedSwarmKernel:
             lane._stk_windowable = (
                 lane._batch_enabled and lane._overlay is None
             )
-            # Homogeneous lanes recompute rates from three counters and the
-            # driver's hoisted rate constants, so ``classify`` can skip the
-            # ``_event_rates`` call chain.  The expressions below mirror
-            # ``_event_rates`` term for term, so the recomputed doubles are
-            # bit-identical.
-            if lane._classes is None:
-                params = lane.params
-                lane._stk_consts = (
-                    lane._arrival_rate_bound,
-                    lane._seed_tick_rate_bound,
-                    params.peer_rate,
-                    lane.retry_speedup - 1.0,
-                    (
-                        0.0
-                        if lane._immediate_departure
-                        else lane._seed_departure_rate
-                    ),
-                )
-            else:
-                lane._stk_consts = None
 
         # Tiny draw blocks (CI's DRAW_BLOCK_SIZE=1 equivalence mode) leave
         # nothing to stack; the solo loop is the same trajectory.
@@ -419,9 +410,11 @@ class StackedSwarmKernel:
         def classify(slot: int, lane: _StackedLane) -> None:
             """Advance one lane to its next pending decision and file it.
 
-            This is the solo loop top — caps, rate recomputation, thinned
-            batching — in exactly the solo order; lanes whose run ends here
-            store their result and retire from the active set.
+            This is the solo loop top — caps, the lane's rate cache (the
+            driver's ``_refresh_rates`` seam, rebuilt only when a mutator
+            dirtied it), thinned batching — in exactly the solo order; lanes
+            whose run ends here store their result and retire from the
+            active set.
             """
             while True:
                 events = lane._events
@@ -437,32 +430,10 @@ class StackedSwarmKernel:
                 if max_population is not None and lane._n >= max_population:
                     results[slot] = self._finalize(lane, horizon, interval, False)
                     return
-                if lane._stk_dirty:
-                    consts = lane._stk_consts
-                    if consts is not None:
-                        # Inline `_event_rates` for homogeneous lanes (term
-                        # for term — see the digest in the prologue).
-                        arr_r, seed_c, peer_rate, extra, dep_rate = consts
-                        n = lane._n
-                        rates = (
-                            arr_r,
-                            seed_c if n > 0 else 0.0,
-                            (n + extra * len(lane._sped)) * peer_rate,
-                            dep_rate * len(lane._seeds),
-                        )
-                    else:
-                        rates = lane._event_rates()
-                    total = rates[0] + rates[1] + rates[2] + rates[3]
-                    lane._stk_rates = rates
-                    lane._stk_total = total
-                    if total > 0.0:
-                        lane._stk_r01 = rates[0] + rates[1]
-                        lane._stk_r012 = lane._stk_r01 + rates[2]
-                        lane._stk_scale = 1.0 / total
-                    lane._stk_dirty = False
-                else:
-                    rates = lane._stk_rates
-                    total = lane._stk_total
+                if lane._rates_dirty:
+                    lane._refresh_rates()
+                rates = lane._rates
+                total = lane._rate_total
                 if total <= 0.0:
                     lane._time = horizon
                     results[slot] = self._finalize(lane, horizon, interval, True)
@@ -478,54 +449,34 @@ class StackedSwarmKernel:
                 cull_time = lane._cull_time
                 cull_pending = cull_time is not None and not lane._cull_done
                 if remaining == 1:
-                    # The selector sits in the next block; take one generic
-                    # scalar step (solo semantics, refill mid-event).
-                    net = lane._time + draws.exponential(lane._stk_scale)
-                    if cull_pending and cull_time <= horizon and net >= cull_time:
-                        # Flash-exit interrupt (solo semantics: the consumed
-                        # exponential is discarded, the selector not drawn).
-                        next_sample = lane._next_sample
-                        while next_sample <= horizon and next_sample < cull_time:
-                            lane._record_sample(next_sample)
-                            next_sample += interval
-                        lane._next_sample = next_sample
-                        lane._time = cull_time
-                        lane._execute_cull()
-                        lane._events = events + 1
-                        lane._stk_dirty = True
-                        continue
-                    next_sample = lane._next_sample
-                    while next_sample <= horizon and next_sample < net:
-                        lane._record_sample(next_sample)
-                        next_sample += interval
-                    lane._next_sample = next_sample
-                    if net > horizon:
-                        lane._time = horizon
-                        results[slot] = self._finalize(
-                            lane, horizon, interval, True
-                        )
+                    # The selector sits in the next block: the solo loop takes
+                    # this one event (refill mid-event, cull and horizon
+                    # included), consuming exactly the draws it always would.
+                    result = lane.run(
+                        horizon,
+                        resume=True,
+                        max_events=max_events,
+                        max_population=max_population,
+                        suspend_after_events=events + 1,
+                    )
+                    if not result.suspended:
+                        results[slot] = result
                         return
-                    lane._time = net
-                    lane._apply_event(rates)
-                    lane._events = events + 1
-                    lane._stk_dirty = True
                     continue
+                budget = max_events - events if max_events is not None else None
+                if suspend_after_events is not None:
+                    left = suspend_after_events - events
+                    budget = left if budget is None else min(budget, left)
                 # Inline peek_uniform(1): this runs once per lane per round.
                 sel = draws._uniforms.item(draws._pos + 1) * total
                 if (
                     not cull_pending
                     and lane._batch_enabled
-                    and lane._stk_r01 < sel <= lane._stk_r012
+                    and lane._rate_r01 < sel <= lane._rate_r012
                 ):
                     window = remaining >> 2
                     if window > lane._stk_window:
                         window = lane._stk_window
-                    budget = (
-                        max_events - events if max_events is not None else None
-                    )
-                    if suspend_after_events is not None:
-                        left = suspend_after_events - events
-                        budget = left if budget is None else min(budget, left)
                     if budget is not None and window > budget:
                         window = budget
                     if window > 0:
@@ -538,8 +489,6 @@ class StackedSwarmKernel:
                         # (adjacency-aware classification); draw-invisible,
                         # so the trajectory stays bit-identical to solo.
                         applied_b, next_sample = lane._batch_stage(
-                            rates,
-                            total,
                             horizon,
                             interval,
                             lane._next_sample,
@@ -558,16 +507,10 @@ class StackedSwarmKernel:
                     # batch stage declining.
                 elif not cull_pending and (
                     (sel <= rates[0] and lane._thin_arrivals)
-                    or (rates[0] < sel <= lane._stk_r01 and lane._thin_seed)
+                    or (rates[0] < sel <= lane._rate_r01 and lane._thin_seed)
                 ):
-                    budget = (
-                        max_events - events if max_events is not None else None
-                    )
-                    if suspend_after_events is not None:
-                        left = suspend_after_events - events
-                        budget = left if budget is None else min(budget, left)
                     applied_thin, next_sample = lane._batch_thinned(
-                        rates, total, horizon, interval, lane._next_sample, budget
+                        horizon, interval, lane._next_sample, budget
                     )
                     # Keep the grid cursor even on zero applied events: the
                     # probe may have recorded samples before a first
@@ -580,20 +523,15 @@ class StackedSwarmKernel:
                     # horizon): file it as a typed scalar event below.
                 # Typed scalar candidate: its event time and selector are
                 # classified here; the cohort apply consumes the draws.
-                net = lane._time + lane._stk_scale * draws._exp.item(draws._pos)
+                net = lane._time + lane._rate_scale * draws._exp.item(draws._pos)
                 if cull_pending and cull_time <= horizon and net >= cull_time:
                     # Flash-exit interrupt: consume (and discard) the peeked
                     # exponential, fire the cull; the selector stays pending.
                     draws._pos += 1
-                    next_sample = lane._next_sample
-                    while next_sample <= horizon and next_sample < cull_time:
-                        lane._record_sample(next_sample)
-                        next_sample += interval
-                    lane._next_sample = next_sample
+                    lane._record_grid_until(cull_time, horizon, interval)
                     lane._time = cull_time
                     lane._execute_cull()
                     lane._events = events + 1
-                    lane._stk_dirty = True
                     continue
                 if net > horizon:
                     # Solo crossing semantics: the exponential is consumed,
@@ -604,9 +542,9 @@ class StackedSwarmKernel:
                     return
                 if sel <= rates[0]:
                     arrival_cohort.append((slot, lane, net))
-                elif sel <= lane._stk_r01:
+                elif sel <= lane._rate_r01:
                     seed_cohort.append((slot, lane, net))
-                elif sel <= lane._stk_r012:
+                elif sel <= lane._rate_r012:
                     tick_cohort.append((slot, lane, net))
                 else:
                     depart_cohort.append((slot, lane, net))
@@ -621,19 +559,13 @@ class StackedSwarmKernel:
             draw for draw what ``_apply_event`` would have done.
             """
             for _slot, lane, net in cohort:
-                next_sample = lane._next_sample
-                if next_sample <= horizon and next_sample < net:
-                    while next_sample <= horizon and next_sample < net:
-                        lane._record_sample(next_sample)
-                        next_sample += interval
-                    lane._next_sample = next_sample
+                lane._record_grid_until(net, horizon, interval)
                 lane._time = net
                 # Inline advance(2): classify guaranteed >= 2 pending draws
                 # before filing the lane (the exponential + the selector).
                 lane.draws._pos += 2
                 primitive(lane)
                 lane._events += 1
-                lane._stk_dirty = True
 
         active: List[Tuple[int, _StackedLane]] = list(enumerate(lanes))
         while active:
@@ -658,11 +590,11 @@ class StackedSwarmKernel:
                     # Inline fast path for the dominant case — a clean-rates
                     # lane whose next candidate is a batchable wasted tick.
                     # Exactly ``classify``'s window branch with the checks a
-                    # non-dirty active lane has already passed (its cached
-                    # total was > 0 when computed, and no event touched the
-                    # lane since); everything else falls through to the full
+                    # clean cache makes redundant (a zero total scales the
+                    # selector to 0, which fails the peer-tick test and falls
+                    # through); everything else falls through to the full
                     # classifier.
-                    if not lane._stk_dirty:
+                    if not lane._rates_dirty:
                         events = lane._events
                         if (
                             (
@@ -680,7 +612,7 @@ class StackedSwarmKernel:
                             if rem >= 4:
                                 sel = (
                                     draws._uniforms.item(draws._pos + 1)
-                                    * lane._stk_total
+                                    * lane._rate_total
                                 )
                                 if (
                                     lane._stk_windowable
@@ -688,7 +620,7 @@ class StackedSwarmKernel:
                                         lane._cull_time is None
                                         or lane._cull_done
                                     )
-                                    and lane._stk_r01 < sel <= lane._stk_r012
+                                    and lane._rate_r01 < sel <= lane._rate_r012
                                 ):
                                     window = rem >> 2
                                     if window > lane._stk_window:
@@ -719,12 +651,10 @@ class StackedSwarmKernel:
                         seed_cohort, _StackedLane._apply_seed_tick_event
                     )
                 if tick_cohort:
-                    apply_cohort(
-                        tick_cohort, _StackedLane._apply_peer_tick_event
-                    )
+                    apply_cohort(tick_cohort, _StackedLane._handle_peer_tick)
                 if depart_cohort:
                     apply_cohort(
-                        depart_cohort, _StackedLane._apply_departure_event
+                        depart_cohort, _StackedLane._handle_seed_departure
                     )
                 pending = [
                     (slot, lane)
@@ -768,10 +698,10 @@ class StackedSwarmKernel:
                         v
                         for lane in win_lanes
                         for v in (
-                            lane._stk_total,
-                            lane._stk_r01,
-                            lane._stk_r012,
-                            lane._stk_scale,
+                            lane._rate_total,
+                            lane._rate_r01,
+                            lane._rate_r012,
+                            lane._rate_scale,
                             lane._time,
                             lane._n,
                             lane._sheet_base,
@@ -914,12 +844,7 @@ class StackedSwarmKernel:
                     k = applied_list[i]
                     if k:
                         t_new = newtime_list[i]
-                        next_sample = lane._next_sample
-                        if next_sample <= horizon and next_sample < t_new:
-                            while next_sample <= horizon and next_sample < t_new:
-                                lane._record_sample(next_sample)
-                                next_sample += interval
-                            lane._next_sample = next_sample
+                        lane._record_grid_until(t_new, horizon, interval)
                         lane._time = t_new
                         lane.metrics.wasted_contacts += k
                         # Inline advance(4k): the window width was capped at
@@ -976,51 +901,29 @@ class StackedSwarmKernel:
                         )
                         continue
                     gi = seg_list[i] + k
-                    if is_tick[gi]:
-                        # A useful peer tick — the canonical streak breaker.
-                        # Ticker / target rows come from the classification
-                        # above; the transfer primitive consumes the piece
-                        # pick exactly like the scalar handler.
-                        next_sample = lane._next_sample
-                        if next_sample <= horizon and next_sample < t_next:
-                            while next_sample <= horizon and next_sample < t_next:
-                                lane._record_sample(next_sample)
-                                next_sample += interval
-                            lane._next_sample = next_sample
-                        lane._time = t_next
-                        # Inline advance(4): candidate k+1 sits fully inside
-                        # the window's 4·width pending draws.
-                        lane.draws._pos += 4
-                        lane._apply_transfer_tick(int(ticker[gi]), int(target[gi]))
-                        lane._events = ev + 1
-                        lane._stk_dirty = True
-                        continue
                     s_val = float(sel[gi])
-                    rates = lane._stk_rates
-                    if (s_val <= rates[0] and lane._thin_arrivals) or (
-                        rates[0] < s_val <= lane._stk_r01 and lane._thin_seed
+                    r0 = lane._rates[0]
+                    if (s_val <= r0 and lane._thin_arrivals) or (
+                        r0 < s_val <= lane._rate_r01 and lane._thin_seed
                     ):
                         # Thinnable candidate: leave it (draws untouched)
                         # for the next round's thinned-reject batch.
                         continue
-                    next_sample = lane._next_sample
-                    if next_sample <= horizon and next_sample < t_next:
-                        while next_sample <= horizon and next_sample < t_next:
-                            lane._record_sample(next_sample)
-                            next_sample += interval
-                        lane._next_sample = next_sample
+                    lane._record_grid_until(t_next, horizon, interval)
                     lane._time = t_next
-                    lane.draws._pos += 2
-                    if s_val <= rates[0]:
-                        lane._apply_arrival_event()
-                    elif s_val <= lane._stk_r01:
-                        lane._apply_seed_tick_event()
-                    elif s_val <= lane._stk_r012:
-                        lane._apply_peer_tick_event()
+                    if is_tick[gi]:
+                        # A useful peer tick — the canonical streak breaker.
+                        # Ticker / target rows come from the classification
+                        # above; the transfer primitive consumes the piece
+                        # pick exactly like the scalar handler.  Inline
+                        # advance(4): candidate k+1 sits fully inside the
+                        # window's 4·width pending draws.
+                        lane.draws._pos += 4
+                        lane._apply_transfer_tick(int(ticker[gi]), int(target[gi]))
                     else:
-                        lane._apply_departure_event()
+                        lane.draws._pos += 2
+                        lane._apply_event(s_val)
                     lane._events = ev + 1
-                    lane._stk_dirty = True
 
             active = [
                 (slot, lane) for slot, lane in active if results[slot] is None

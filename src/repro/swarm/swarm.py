@@ -109,6 +109,7 @@ class _SwarmEventLoop:
 
     * ``population`` / ``num_seeds`` properties,
     * ``_total_peer_tick_rate()`` — maintained incrementally,
+    * the population mutators, each of which sets ``_rates_dirty`` (below),
     * ``_record_sample(time)`` — metrics recording at grid points,
     * ``current_state()`` — the final :class:`SystemState` aggregation,
     * ``_handle_arrival`` / ``_handle_seed_tick`` / ``_handle_peer_tick`` /
@@ -148,6 +149,19 @@ class _SwarmEventLoop:
 
     A ``scenario=None`` (or a trivial scenario) leaves every legacy code
     path — and therefore every legacy-seed trajectory — untouched.
+
+    Cached event rates
+    ------------------
+    The four event rates, their partial sums and ``1 / total`` live in one
+    cache that :meth:`_refresh_rates` rebuilds from :meth:`_event_rates`
+    (same terms, same doubles) only when ``_rates_dirty`` is set.  The
+    contract: **every mutation a rate reads sets ``_rates_dirty = True``** —
+    in both backends ``_add_peer`` / ``_remove_peer``, ``_add_seed`` /
+    ``_remove_seed``, ``_add_sped`` / ``_discard_sped`` (when they change the
+    list), ``seed_population``, :meth:`restore_state` and the cull.  A
+    non-completing transfer leaves the cache clean.  ``rate_refreshes``
+    counts rebuilds (deterministic, draw-free, outside snapshots); stacked
+    lanes read the same cache.
     """
 
     params: SystemParameters
@@ -162,7 +176,12 @@ class _SwarmEventLoop:
     #: on one backend cannot be restored into the other by mistake.
     backend_name = "abstract"
 
-    #: Flipped on by backends that implement :meth:`_batch_stage`.
+    #: Flipped on by backends that implement the vectorized batching hook
+    #: ``_batch_stage(horizon, interval, next_sample, limit)``: apply
+    #: ``k >= 0`` events consuming exactly the scalar loop's draws, on a
+    #: clean rate cache they leave unchanged, record any crossed grid points
+    #: and return ``(k, next_sample)``; the first event not provably
+    #: state-neutral (or crossing ``horizon`` / ``limit``) is left unapplied.
     _batch_enabled = False
 
     # -- scenario plumbing -----------------------------------------------------
@@ -187,6 +206,10 @@ class _SwarmEventLoop:
         self._seed_tick_rate_bound = self.params.seed_rate * self._seed_bound
         self._immediate_departure = self.params.immediate_departure
         self._seed_departure_rate = self.params.seed_departure_rate
+        #: Set by every rate-moving mutation; see "Cached event rates".
+        self._rates_dirty = True
+        #: Cache rebuilds so far (a deterministic work counter).
+        self.rate_refreshes = 0
         #: Slot-indexed contact overlay shared (by construction, not by
         #: reference) between backends; ``None`` keeps uniform contacts.
         self._overlay: Optional[OverlayState] = build_overlay(self._topology)
@@ -426,10 +449,27 @@ class _SwarmEventLoop:
             self._total_seed_departure_rate(),
         )
 
+    def _refresh_rates(self) -> None:
+        """Rebuild the rate cache from :meth:`_event_rates` and clear the flag.
+
+        ``total`` is the left fold ``((r0 + r1) + r2) + r3`` — exactly what
+        ``sum(rates)`` computes — and ``scale`` the ``1.0 / total`` every
+        inter-event exponential is drawn with, so cached and fresh values
+        are the same doubles.
+        """
+        rates = self._rates = self._event_rates()
+        r01 = self._rate_r01 = rates[0] + rates[1]
+        r012 = self._rate_r012 = r01 + rates[2]
+        total = self._rate_total = r012 + rates[3]
+        self._rate_scale = 1.0 / total if total > 0.0 else 0.0
+        self._rates_dirty = False
+        self.rate_refreshes += 1
+
     # -- typed event application (cohort-apply primitives) ---------------------
     #
-    # One method per selector branch of `_apply_event`, thinning included.
-    # The stacked mega-kernel's cohort dispatcher classifies each lane's
+    # One method per selector branch of `_apply_event` (the thinned branches
+    # here, peer ticks and departures straight to their handlers).  The
+    # stacked mega-kernel's cohort dispatcher classifies each lane's
     # pending selector *without* consuming it and then applies the event
     # through the matching primitive directly, so the branch bodies must
     # stay draw-for-draw identical to the scalar dispatch below.
@@ -450,26 +490,21 @@ class _SwarmEventLoop:
             return
         self._handle_seed_tick()
 
-    def _apply_peer_tick_event(self) -> None:
-        """One peer tick (draws its own ticker / target rows)."""
-        self._handle_peer_tick()
+    def _apply_event(self, selector: float) -> None:
+        """Apply the event an already drawn selector picks.
 
-    def _apply_departure_event(self) -> None:
-        """One peer-seed departure."""
-        self._handle_seed_departure()
-
-    def _apply_event(self, rates: Tuple[float, float, float, float]) -> None:
-        """Apply one event drawn proportionally to the given rates."""
-        total = sum(rates)
-        threshold = self.draws.uniform(0.0, total)
-        if threshold <= rates[0]:
+        ``selector`` is the event-type uniform times the cached total rate
+        (``uniform(0, total)`` of one draw, bit for bit); the cache must be
+        clean.  Peer ticks and departures draw their own rows.
+        """
+        if selector <= self._rates[0]:
             self._apply_arrival_event()
-        elif threshold <= rates[0] + rates[1]:
+        elif selector <= self._rate_r01:
             self._apply_seed_tick_event()
-        elif threshold <= rates[0] + rates[1] + rates[2]:
-            self._apply_peer_tick_event()
+        elif selector <= self._rate_r012:
+            self._handle_peer_tick()
         else:
-            self._apply_departure_event()
+            self._handle_seed_departure()
 
     # -- flash-exit cull (scenario ``cull_time`` / ``cull_fraction``) ----------
 
@@ -494,6 +529,7 @@ class _SwarmEventLoop:
             self._remove_slot(slot)
         self.metrics.culled_peers += len(marked)
         self._cull_done = True
+        self._rates_dirty = True
 
     def _slot_is_complete(self, slot: int) -> bool:
         """Whether the peer at population slot ``slot`` holds every piece."""
@@ -505,11 +541,12 @@ class _SwarmEventLoop:
 
     def step(self) -> bool:
         """Execute one event; returns False when no event can occur."""
-        rates = self._event_rates()
-        total = sum(rates)
+        if self._rates_dirty:
+            self._refresh_rates()
+        total = self._rate_total
         if total <= 0:
             return False
-        next_time = self._time + self.draws.exponential(1.0 / total)
+        next_time = self._time + self.draws.exponential(self._rate_scale)
         if (
             self._cull_time is not None
             and not self._cull_done
@@ -522,7 +559,7 @@ class _SwarmEventLoop:
             self._execute_cull()
             return True
         self._time = next_time
-        self._apply_event(rates)
+        self._apply_event(self.draws.next() * total)
         return True
 
     def run(
@@ -588,6 +625,7 @@ class _SwarmEventLoop:
         horizon_reached = True
         suspended = False
         batch_enabled = self._batch_enabled
+        draws = self.draws
         while True:
             if suspend_after_events is not None and events >= suspend_after_events:
                 horizon_reached = False
@@ -599,8 +637,9 @@ class _SwarmEventLoop:
             if max_population is not None and self.population >= max_population:
                 horizon_reached = False
                 break
-            rates = self._event_rates()
-            total = sum(rates)
+            if self._rates_dirty:
+                self._refresh_rates()
+            total = self._rate_total
             if total <= 0:
                 # No events possible (no arrivals configured and system empty).
                 self._time = horizon
@@ -620,12 +659,22 @@ class _SwarmEventLoop:
                     remaining = max_events - events
                     limit = remaining if limit is None else min(limit, remaining)
                 applied, next_sample = self._batch_stage(
-                    rates, total, horizon, interval, next_sample, limit
+                    horizon, interval, next_sample, limit
                 )
                 if applied:
                     events += applied
                     continue
-            next_event_time = self._time + self.draws.exponential(1.0 / total)
+            # Inline ``draws.exponential(scale)`` / ``draws.next()``: read
+            # the pending block directly, leaving the refill at a block
+            # boundary to the buffer (same doubles, same positions).
+            pos = draws._pos
+            if pos < draws._len:
+                draws._pos = pos + 1
+                next_event_time = (
+                    self._time + self._rate_scale * draws._exp.item(pos)
+                )
+            else:
+                next_event_time = self._time + draws.exponential(self._rate_scale)
             if (
                 cull_pending
                 and cull_time <= horizon
@@ -651,7 +700,12 @@ class _SwarmEventLoop:
                 self._time = horizon
                 break
             self._time = next_event_time
-            self._apply_event(rates)
+            pos = draws._pos
+            if pos < draws._len:
+                draws._pos = pos + 1
+                self._apply_event(draws._uniforms.item(pos) * total)
+            else:
+                self._apply_event(draws.next() * total)
             events += 1
         if not suspended:
             next_sample = self._flush_samples(next_sample, horizon, interval)
@@ -683,28 +737,6 @@ class _SwarmEventLoop:
             self._record_sample(next_sample)
             next_sample += interval
         return next_sample
-
-    def _batch_stage(
-        self,
-        rates: Tuple[float, float, float, float],
-        total: float,
-        horizon: float,
-        interval: float,
-        next_sample: float,
-        limit: Optional[int],
-    ) -> Tuple[int, float]:
-        """Vectorized event-batching hook; the base driver has none.
-
-        Backends that can resolve a run of upcoming events with array ops
-        (see :meth:`ArraySwarmKernel._batch_stage`) override this and set
-        ``_batch_enabled``.  The contract: apply ``k >= 0`` complete events
-        that consume exactly the draws the scalar loop would have consumed,
-        leave the event rates unchanged throughout, record any crossed
-        sample-grid points, and return ``(k, next_sample)``; the first event
-        that cannot be proven state-neutral (or that would cross ``horizon``
-        or exceed ``limit``) is left for the scalar path.
-        """
-        return 0, next_sample
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -759,8 +791,10 @@ class _SwarmEventLoop:
 
         The simulator must have been constructed with the same arguments as
         the one that produced the snapshot (backend, ``num_pieces``,
-        scenario); mismatches raise ``ValueError``.  The snapshot itself is
-        never mutated, so the same snapshot can be restored repeatedly.
+        scenario); mismatches raise ``ValueError``.  Every compatibility
+        check runs before anything is loaded, so a rejected snapshot leaves
+        the simulator exactly as it was.  The snapshot itself is never
+        mutated, so the same snapshot can be restored repeatedly.
         """
         if snapshot.get("format") != self.SNAPSHOT_FORMAT:
             raise ValueError(
@@ -783,6 +817,28 @@ class _SwarmEventLoop:
                 f"snapshot scenario {snapshot['scenario']!r} does not match "
                 f"the simulator's scenario {expected_scenario!r}"
             )
+        class_lists = snapshot["class_lists"]
+        if (class_lists is not None) != (self._classes is not None):
+            raise ValueError(
+                "snapshot heterogeneous-class state does not match the "
+                "simulator's scenario configuration"
+            )
+        if class_lists is not None and len(class_lists[0]) != len(
+            self._class_members
+        ):
+            raise ValueError("snapshot class count does not match scenario")
+        overlay_state = snapshot.get("overlay")
+        gossip_state = snapshot.get("gossip")
+        for state, live, what in (
+            (overlay_state, self._overlay, "overlay state does not match the "
+             "simulator's topology"),
+            (gossip_state, self._gossip, "gossip state does not match the "
+             "simulator's census"),
+        ):
+            if (state is not None) != (live is not None):
+                raise ValueError(f"snapshot {what} configuration")
+            if state is not None:
+                live.check_restorable(state)
         self.rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
         self.draws.restore(snapshot["draws"])
         self._time = snapshot["time"]
@@ -793,40 +849,21 @@ class _SwarmEventLoop:
         self._run_interval = run["interval"]
         self._next_sample = run["next_sample"]
         self._events = run["events"]
-        class_lists = snapshot["class_lists"]
-        if (class_lists is not None) != (self._classes is not None):
-            raise ValueError(
-                "snapshot heterogeneous-class state does not match the "
-                "simulator's scenario configuration"
-            )
         if class_lists is not None:
             members, seeds, sped = copy.deepcopy(class_lists)
-            if len(members) != len(self._class_members):
-                raise ValueError("snapshot class count does not match scenario")
             for target, source in zip(self._class_members, members):
                 target[:] = source
             for target, source in zip(self._class_seeds, seeds):
                 target[:] = source
             for target, source in zip(self._class_sped, sped):
                 target[:] = source
-        overlay_state = snapshot.get("overlay")
-        if (overlay_state is not None) != (self._overlay is not None):
-            raise ValueError(
-                "snapshot overlay state does not match the simulator's "
-                "topology configuration"
-            )
         if overlay_state is not None:
             self._overlay.restore(overlay_state)
-        gossip_state = snapshot.get("gossip")
-        if (gossip_state is not None) != (self._gossip is not None):
-            raise ValueError(
-                "snapshot gossip state does not match the simulator's "
-                "census configuration"
-            )
         if gossip_state is not None:
             self._gossip.restore(gossip_state)
         self._cull_done = bool(snapshot.get("cull_done", False))
         self._restore_backend_state(copy.deepcopy(snapshot["backend_state"]))
+        self._rates_dirty = True
 
     def _capture_backend_state(self) -> Dict[str, Any]:
         raise NotImplementedError
@@ -953,6 +990,7 @@ class SwarmSimulator(_SwarmEventLoop):
             self._piece_counts[piece] += 1
         if peer.is_seed and not self._class_departs_immediately(class_index):
             self._add_seed(peer.peer_id)
+        self._rates_dirty = True
         self.metrics.total_arrivals += 1
         if self._overlay is not None:
             self._overlay.on_arrival(len(self._order) - 1, self.draws)
@@ -988,6 +1026,7 @@ class SwarmSimulator(_SwarmEventLoop):
         if pid in self._seed_position:
             self._remove_seed(pid)
         del self._peers[pid]
+        self._rates_dirty = True
         peer.depart(self._time)
         self.metrics.record_departure(
             sojourn=peer.sojourn_time(self._time),
@@ -1008,6 +1047,7 @@ class SwarmSimulator(_SwarmEventLoop):
         seeds = self._seed_list_of(peer_id)
         self._seed_position[peer_id] = len(seeds)
         seeds.append(peer_id)
+        self._rates_dirty = True
 
     def _remove_seed(self, peer_id: int) -> None:
         seeds = self._seed_list_of(peer_id)
@@ -1016,12 +1056,14 @@ class SwarmSimulator(_SwarmEventLoop):
         if last_id != peer_id:
             seeds[index] = last_id
             self._seed_position[last_id] = index
+        self._rates_dirty = True
 
     def _add_sped(self, peer_id: int) -> None:
         if peer_id not in self._sped_position:
             sped = self._sped_list_of(peer_id)
             self._sped_position[peer_id] = len(sped)
             sped.append(peer_id)
+            self._rates_dirty = True
 
     def _discard_sped(self, peer_id: int) -> None:
         index = self._sped_position.pop(peer_id, None)
@@ -1032,6 +1074,7 @@ class SwarmSimulator(_SwarmEventLoop):
         if last_id != peer_id:
             sped[index] = last_id
             self._sped_position[last_id] = index
+        self._rates_dirty = True
 
     def seed_population(self, initial_state: SystemState) -> None:
         """Populate the swarm from a :class:`SystemState` before running."""

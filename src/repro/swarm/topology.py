@@ -415,12 +415,16 @@ class OverlayState:
             state["comp_pos"] = self._comp_pos[:n].copy()
         return state
 
-    def restore(self, state: Dict[str, Any]) -> None:
+    def check_restorable(self, state: Dict[str, Any]) -> None:
+        """Raise ``ValueError`` unless :meth:`restore` accepts ``state``."""
         if state["kind"] != self.kind:
             raise ValueError(
                 f"snapshot overlay kind {state['kind']!r} does not match the "
                 f"configured topology {self.kind!r}"
             )
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        self.check_restorable(state)
         n = int(state["n"])
         if n > self.adj.shape[0]:
             self._grow(n)

@@ -10,6 +10,7 @@ backends, on plain parameters and on scenarios with real Poisson thinning.
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.parameters import SystemParameters
 from repro.core.scenario import make_scenario
 from repro.core.state import SystemState
+from repro.swarm.gossip import CensusSpec
 from repro.swarm.swarm import make_simulator, run_swarm
 
 BACKENDS = ("object", "array")
@@ -44,6 +46,33 @@ def _assert_same_outcome(resumed, uninterrupted):
     assert resumed.metrics.total_downloads == uninterrupted.metrics.total_downloads
     assert resumed.metrics.wasted_contacts == uninterrupted.metrics.wasted_contacts
     assert resumed.metrics.thinned_events == uninterrupted.metrics.thinned_events
+
+
+def _same_state(a, b) -> bool:
+    """Structural equality of two ``capture_state`` payloads (NaN == NaN)."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+        )
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and list(a) == list(b)
+            and all(_same_state(a[key], b[key]) for key in a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same_state(x, y) for x, y in zip(a, b))
+        )
+    if hasattr(a, "__dict__"):
+        return type(a) is type(b) and _same_state(vars(a), vars(b))
+    if isinstance(a, float) and a != a:
+        return isinstance(b, float) and b != b
+    return a == b
 
 
 def _round_trip(params, backend, seed, suspend_after, scenario=None, club=10):
@@ -189,6 +218,49 @@ class TestSnapshotValidation:
         snapshot["format"] = 999
         with pytest.raises(ValueError, match="format"):
             sim.restore_state(snapshot)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "source_kwargs, target_kwargs, match",
+        [
+            # Overlay snapshot into a same-named scenario without topology.
+            ({}, {"topology": "complete"}, "overlay"),
+            # Gossip knobs differ; the overlay part alone would restore.
+            (
+                {"census": CensusSpec.gossip(exchange_rate=0.5)},
+                {"census": CensusSpec.gossip(exchange_rate=0.9)},
+                "gossip",
+            ),
+        ],
+    )
+    def test_rejected_restore_leaves_simulator_untouched(
+        self, backend, source_kwargs, target_kwargs, match
+    ):
+        source = make_scenario("sparse-overlay", **source_kwargs)
+        target = make_scenario("sparse-overlay", **target_kwargs)
+        club = SystemState.one_club(source.params.num_pieces, 5)
+        donor = make_simulator(
+            source.params, seed=2, backend=backend, scenario=source
+        )
+        donor.run(10.0, initial_state=club, suspend_after_events=22)
+        snapshot = donor.capture_state()
+
+        def build():
+            sim = make_simulator(
+                target.params, seed=9, backend=backend, scenario=target
+            )
+            sim.run(10.0, initial_state=club, suspend_after_events=33)
+            return sim
+
+        sim = build()
+        before = sim.capture_state()
+        with pytest.raises(ValueError, match=match):
+            sim.restore_state(snapshot)
+        assert _same_state(sim.capture_state(), before)
+        # The rejected simulator still continues its own run exactly.
+        _assert_same_outcome(
+            sim.run(10.0, resume=True), build().run(10.0, resume=True)
+        )
 
     def test_resume_requires_suspended_run(self, flash_crowd_stable):
         sim = make_simulator(flash_crowd_stable, seed=1)
