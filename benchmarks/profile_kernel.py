@@ -18,9 +18,12 @@ reference ``BENCH_WORKLOAD`` (or the scenario variant) twice:
 
 With ``--stacked`` the script profiles the *fleet* workload
 (``FLEET_BENCH_WORKLOAD``) through one ``StackedSwarmKernel`` instead of a
-solo kernel — the phase table then splits the stacked round loop into the
-per-lane scalar drive, the lane-local thinned batches and the shared
-sampling/refill phases.
+solo kernel — the phase table then splits the stacked round loop into its
+three steps (per-lane advance, window classification, window apply) and
+lists the work they nest — scalar dispatch, thinned batches, block refills,
+sampling, the heterogeneous ticker walk — below them.  ``--events`` caps
+every lane and ``--block-size`` sets every lane's draw block; the workload
+flags and ``--backend object`` do not apply to the fleet workload.
 
 Usage::
 
@@ -31,6 +34,7 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_kernel.py --stable       # stable regime
     PYTHONPATH=src python benchmarks/profile_kernel.py --block-size 1   # scalar draws
     PYTHONPATH=src python benchmarks/profile_kernel.py --stacked        # fleet mega-kernel
+    PYTHONPATH=src python benchmarks/profile_kernel.py --stacked --skip-cprofile  # CI smoke
 
 With ``--topology`` the phase table gains overlay rows — arrival wiring,
 churn rewiring and the per-contact neighbor draw — so overlay overhead is
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import time
 from contextlib import contextmanager
@@ -216,8 +221,12 @@ def _build_stacked(args):
 
     from repro.core.state import SystemState
     from repro.fleet.spec import materialize_tasks
+    from repro.swarm.drawbuf import BLOCK_SIZE_ENV
     from repro.swarm.stacked import StackedSwarmKernel
 
+    if args.block_size is not None:
+        # Lanes build their draw buffers through the default block size.
+        os.environ[BLOCK_SIZE_ENV] = str(args.block_size)
     fleet_spec = _fleet_bench_spec()
     tasks = materialize_tasks(fleet_spec, seed=FLEET_BENCH_WORKLOAD["seed"])
     stack = StackedSwarmKernel()
@@ -234,7 +243,7 @@ def _build_stacked(args):
     run_kwargs = dict(
         initial_states=initial_states,
         sample_interval=fleet_spec.sample_interval,
-        max_events=fleet_spec.max_events,
+        max_events=args.events if args.events is not None else fleet_spec.max_events,
         max_population=fleet_spec.max_population,
     )
     return stack, fleet_spec.horizon, run_kwargs
@@ -243,26 +252,26 @@ def _build_stacked(args):
 def run_stacked_phase_table(args) -> None:
     from repro.swarm.drawbuf import DrawBuffer
     from repro.swarm.kernel import ArraySwarmKernel
+    from repro.swarm.stacked import StackedSwarmKernel
     from repro.swarm.swarm import _SwarmEventLoop
 
-    targets = [
-        (DrawBuffer, "_refill", "draw (block refill)"),
-        (_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)"),
-        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
-        # Per-event-type breakdown of the cohort dispatch: the typed
-        # primitives the round loop applies classified events through.
-        # ``dispatch · peer tick`` nests ``dispatch · transfer`` (the tick
-        # draws the target, the transfer moves the piece), so the rows
-        # overlap; shares are of wall, not of each other.
-        (_SwarmEventLoop, "_apply_arrival_event", "dispatch · arrival"),
-        (_SwarmEventLoop, "_apply_seed_tick_event", "dispatch · seed tick"),
-        (ArraySwarmKernel, "_handle_peer_tick", "dispatch · peer tick"),
-        (ArraySwarmKernel, "_apply_transfer_tick", "dispatch · transfer"),
-        (ArraySwarmKernel, "_handle_seed_departure", "dispatch · departure"),
-        (ArraySwarmKernel, "_batch_thinned", "dispatch · thinned"),
+    # The three steps of a round partition ``run_all`` (bar run start and
+    # round bookkeeping, the residual); the nested rows are work done
+    # inside them, so their shares overlap the step rows.
+    steps = [
+        (StackedSwarmKernel, "_advance", "round · advance"),
+        (StackedSwarmKernel, "_classify_windows", "round · classify windows"),
+        (StackedSwarmKernel, "_apply_windows", "round · apply windows"),
     ]
-    with _timed_methods(targets) as totals:
-        stack, horizon, run_kwargs = _build_stacked(args)
+    nested = [
+        (_SwarmEventLoop, "_apply_event", "scalar dispatch"),
+        (ArraySwarmKernel, "_batch_thinned", "thinned batch"),
+        (DrawBuffer, "_refill", "draw (block refill)"),
+        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
+        (ArraySwarmKernel, "_batch_hetero_tickers", "hetero ticker walk"),
+    ]
+    stack, horizon, run_kwargs = _build_stacked(args)
+    with _timed_methods(steps + nested) as totals:
         start = time.perf_counter()
         results = stack.run_all(horizon, **run_kwargs)
         wall = time.perf_counter() - start
@@ -271,21 +280,24 @@ def run_stacked_phase_table(args) -> None:
         f"\nPer-phase timing — stacked fleet, {stack.num_lanes} lanes, "
         f"{events:,} events in {wall:.3f}s ({events / wall:,.0f} aggregate ev/s)"
     )
-    print(f"{'phase':<28}{'calls':>12}{'seconds':>12}{'share':>9}")
+
+    def row(phase, calls, seconds):
+        print(f"{phase:<30}{calls:>12}{seconds:>12.3f}{seconds / wall:>8.1%}")
+
+    print(f"{'phase':<30}{'calls':>12}{'seconds':>12}{'share':>9}")
     accounted = 0.0
-    for phase, (calls, seconds) in totals.items():
-        if not calls:
-            continue
-        # The typed-dispatch rows are a *breakdown* (and peer tick nests
-        # transfer), so they don't add into the residual accounting.
-        if not phase.startswith("dispatch ·"):
-            accounted += seconds
-        print(f"{phase:<28}{calls:>12,}{seconds:>12.3f}{seconds / wall:>8.1%}")
-    residual = max(wall - accounted, 0.0)
-    print(
-        f"{'residual (round loop)':<28}{'—':>12}{residual:>12.3f}"
-        f"{residual / wall:>8.1%}"
-    )
+    for _owner, _name, phase in steps:
+        calls, seconds = totals[phase]
+        accounted += seconds
+        row(phase, f"{calls:,}", seconds)
+    row("residual (round bookkeeping)", "—", max(wall - accounted, 0.0))
+    if not totals["round · advance"][0]:
+        print("(draw blocks too small to stack: every lane ran its solo loop)")
+    print("nested in the round steps:")
+    for _owner, _name, phase in nested:
+        calls, seconds = totals[phase]
+        if calls:
+            row(f"  {phase}", f"{calls:,}", seconds)
 
 
 def run_stacked_cprofile(args, top: int = 25) -> None:
@@ -343,6 +355,21 @@ def main() -> None:
     )
     args = parser.parse_args()
     if args.stacked:
+        conflicts = [
+            flag
+            for flag, given in (
+                ("--backend object", args.backend == "object"),
+                ("--scenario", args.scenario),
+                ("--topology", args.topology),
+                ("--stable", args.stable),
+            )
+            if given
+        ]
+        if conflicts:
+            parser.error(
+                "--stacked profiles the fleet workload on the array backend; "
+                f"it cannot be combined with {', '.join(conflicts)}"
+            )
         run_stacked_phase_table(args)
         if not args.skip_cprofile:
             run_stacked_cprofile(args)

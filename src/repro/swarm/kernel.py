@@ -81,7 +81,6 @@ from ..core.state import SystemState
 from ..core.types import PieceSet
 from ..simulation.rng import SeedLike, make_rng
 from .groups import GroupSnapshot
-from .metrics import SwarmMetrics
 from .policies import PieceSelectionPolicy, RandomUsefulSelection, SwarmView
 from .swarm import _SwarmEventLoop
 
@@ -142,26 +141,8 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._rare_bit = 1 << (rare_piece - 1)
         self._club_mask = self._full_mask & ~self._rare_bit
 
-        capacity = max(int(initial_capacity), 16)
-        self._masks = np.zeros(capacity, dtype=np.uint64)
-        self._arrival_time = np.zeros(capacity, dtype=np.float64)
-        self._completed_at = np.full(capacity, np.nan, dtype=np.float64)
-        self._arrived_with_rare = np.zeros(capacity, dtype=np.bool_)
-        self._infected = np.zeros(capacity, dtype=np.bool_)
-        self._was_one_club = np.zeros(capacity, dtype=np.bool_)
-        self._seed_slot = np.full(capacity, -1, dtype=np.int64)
-        self._sped_slot = np.full(capacity, -1, dtype=np.int64)
-
-        self._n = 0  # live rows: peers occupy rows 0.._n-1
-        self._seeds: List[int] = []  # row indices of peer seeds (gamma < inf)
-        self._sped: List[int] = []  # row indices of sped-up peers
-        self._one_club_count = 0
-        self._piece_counts: Dict[int, int] = {
-            k: 0 for k in range(1, num_pieces + 1)
-        }
-        self._time = 0.0
-        self.metrics = SwarmMetrics()
-
+        #: Column capacity a fresh (or reset) kernel starts with.
+        self._initial_capacity = max(int(initial_capacity), 16)
         self._arrival_types = list(params.arrival_rates)
         self._arrival_masks = [t.mask for t in self._arrival_types]
         self._arrival_weights = np.array(
@@ -185,9 +166,35 @@ class ArraySwarmKernel(_SwarmEventLoop):
             and getattr(self.policy, "rng_free_when_useless", False)
             and self._gossip is None
         )
-        self._reset_probe_gate()
         # Homogeneous uniform contacts: peer ticks take the flat inline path.
         self._flat_ticks = self._classes is None and self._overlay is None
+        if self._classes is not None:
+            self._class_type_masks = tuple(
+                tuple(type_c.mask for type_c in types)
+                for types in self._class_types
+            )
+
+    def _reset_run_state(self) -> None:
+        """The driver's fresh state plus empty population columns, lists,
+        census counts, caches, probe gate and policy view."""
+        super()._reset_run_state()
+        capacity = self._initial_capacity
+        self._masks = np.zeros(capacity, dtype=np.uint64)
+        self._arrival_time = np.zeros(capacity, dtype=np.float64)
+        self._completed_at = np.full(capacity, np.nan, dtype=np.float64)
+        self._arrived_with_rare = np.zeros(capacity, dtype=np.bool_)
+        self._infected = np.zeros(capacity, dtype=np.bool_)
+        self._was_one_club = np.zeros(capacity, dtype=np.bool_)
+        self._seed_slot = np.full(capacity, -1, dtype=np.int64)
+        self._sped_slot = np.full(capacity, -1, dtype=np.int64)
+        self._n = 0  # live rows: peers occupy rows 0.._n-1
+        self._seeds: List[int] = []  # row indices of peer seeds (gamma < inf)
+        self._sped: List[int] = []  # row indices of sped-up peers
+        self._one_club_count = 0
+        self._piece_counts: Dict[int, int] = {
+            k: 0 for k in range(1, self.params.num_pieces + 1)
+        }
+        self._reset_probe_gate()
         self._membership_version = 0
         # Membership version the view's ``class_counts`` was built at.
         self._view_version = -1
@@ -202,10 +209,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
         # per-class seed/sped lists replace the flat ones (the _seed_slot /
         # _sped_slot columns then index into the row's class list).
         if self._classes is not None:
-            self._class_type_masks = tuple(
-                tuple(type_c.mask for type_c in types)
-                for types in self._class_types
-            )
             self._class_idx = np.zeros(capacity, dtype=np.int32)
             self._member_slot = np.full(capacity, -1, dtype=np.int64)
             # Per-class membership revisions: bumped whenever that class's
@@ -213,7 +216,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             # row arrays of untouched classes across rebuilds.
             self._class_member_revs = [0] * len(self._classes)
         self._view = SwarmView(
-            num_pieces=num_pieces,
+            num_pieces=self.params.num_pieces,
             census=self._make_census(),
             total_peers=0,
             time=0.0,
@@ -742,24 +745,15 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._apply_transfer_tick(uploader, target)
 
     def _apply_transfer_tick(self, uploader: int, target: int) -> None:
-        """Peer tick whose ticker / target rows were already drawn.
-
-        Cohort-apply primitive: the stacked dispatcher classifies the
-        ticker and target rows vectorially from the peeked draw window
-        (the same truncate-and-clamp maps as the scalar draws), advances
-        the buffer past them, and lands here — so this body must consume
-        exactly the remaining draws of the scalar ``_handle_peer_tick``
-        (the piece pick, when the contact is useful).
-        """
+        """Peer tick whose ticker / target rows were already drawn: the
+        rest of ``_handle_peer_tick`` (gossip, then the transfer's piece
+        pick when the contact is useful)."""
         # A ticking peer's speedup (if any) is consumed by this tick.
         if self._sped_slot.item(uploader) >= 0:
             self._discard_sped(uploader)
         if self._gossip is not None:
             # One gossip uniform per peer tick, after the ticker/target
             # draws and before the transfer — mirroring the object backend.
-            # (Gossip lanes are never windowable, so the stacked phase-4
-            # fast path, which lands here with the draws pre-consumed,
-            # cannot reach this branch.)
             self._gossip_tick(uploader, target)
         if target == uploader:
             self.metrics.wasted_contacts += 1
@@ -839,11 +833,9 @@ class ArraySwarmKernel(_SwarmEventLoop):
     def _ticker_tables(self) -> Optional[dict]:
         """The cached segment tables behind :meth:`_batch_hetero_tickers`.
 
-        ``None`` when no class has members (no tick can fire).  The stacked
-        driver reads the tables directly to classify several lanes' windows
-        with one set of array ops; the cache is rebuilt when any membership
-        changed, reusing the row arrays of classes whose revision is
-        untouched.
+        ``None`` when no class has members (no tick can fire).  The cache
+        is rebuilt when any membership changed, reusing the row arrays of
+        classes whose revision is untouched.
         """
         cache = self._ticker_cache
         if cache is None or cache["version"] != self._membership_version:

@@ -191,10 +191,11 @@ class _SwarmEventLoop:
         scenario: Optional[ScenarioSpec],
         draw_block_size: Optional[int] = None,
     ) -> None:
-        """Initialise the shared driver: scenario digestion + run-loop state.
+        """Initialise the shared driver: scenario digestion, then fresh
+        state through :meth:`_reset_run_state`.
 
-        Backends call this after setting ``params``, ``rng`` and
-        ``_arrival_total``.
+        Backends call this after setting ``params``, ``rng``,
+        ``_arrival_total`` and whatever their ``_reset_run_state`` reads.
         """
         #: The blocked draw buffer every stochastic decision comes from (see
         #: :mod:`repro.swarm.drawbuf`); both backends consume it identically.
@@ -206,6 +207,20 @@ class _SwarmEventLoop:
         self._seed_tick_rate_bound = self.params.seed_rate * self._seed_bound
         self._immediate_departure = self.params.immediate_departure
         self._seed_departure_rate = self.params.seed_departure_rate
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Fresh mutable state: clock, metrics, overlay, gossip, per-class
+        lists, rate cache and run cursor.
+
+        Digested configuration — scenario tables, rate bounds, the draw
+        buffer — is left alone.  The array kernel extends this with its
+        population columns, and stacked lanes cloned from a template call
+        it for their fresh state, so the list of mutable fields lives in
+        one place.
+        """
+        self._time = 0.0
+        self.metrics = SwarmMetrics()
         #: Set by every rate-moving mutation; see "Cached event rates".
         self._rates_dirty = True
         #: Cache rebuilds so far (a deterministic work counter).
@@ -218,6 +233,12 @@ class _SwarmEventLoop:
         self._gossip: Optional[GossipState] = build_gossip(
             self._census_spec, self.params.num_pieces
         )
+        self._cull_done = False
+        if self._classes is not None:
+            num_classes = len(self._classes)
+            self._class_members = [[] for _ in range(num_classes)]
+            self._class_seeds = [[] for _ in range(num_classes)]
+            self._class_sped = [[] for _ in range(num_classes)]
         self._run_active = False
         self._run_horizon: Optional[float] = None
         self._run_interval: Optional[float] = None
@@ -249,7 +270,6 @@ class _SwarmEventLoop:
         self._census_spec: Optional[CensusSpec] = None
         self._cull_time: Optional[float] = None
         self._cull_fraction = 0.0
-        self._cull_done = False
         if scenario is None:
             return
         if scenario.params != self.params:
@@ -293,10 +313,6 @@ class _SwarmEventLoop:
                 np.cumsum([prob for _type_c, prob in table])
                 for table in type_tables
             ]
-            num_classes = len(self._classes)
-            self._class_members = [[] for _ in range(num_classes)]
-            self._class_seeds = [[] for _ in range(num_classes)]
-            self._class_sped = [[] for _ in range(num_classes)]
 
     def _class_departs_immediately(self, class_index: int) -> bool:
         """Whether a completing peer of the given class leaves instantly."""
@@ -465,42 +481,27 @@ class _SwarmEventLoop:
         self._rates_dirty = False
         self.rate_refreshes += 1
 
-    # -- typed event application (cohort-apply primitives) ---------------------
-    #
-    # One method per selector branch of `_apply_event` (the thinned branches
-    # here, peer ticks and departures straight to their handlers).  The
-    # stacked mega-kernel's cohort dispatcher classifies each lane's
-    # pending selector *without* consuming it and then applies the event
-    # through the matching primitive directly, so the branch bodies must
-    # stay draw-for-draw identical to the scalar dispatch below.
-
-    def _apply_arrival_event(self) -> None:
-        """One (candidate) arrival: thinning acceptance, then the handler."""
-        if self._thin_arrivals and not self._thin_accept(
-            self._arrival_schedule, self._arrival_bound
-        ):
-            return
-        self._handle_arrival()
-
-    def _apply_seed_tick_event(self) -> None:
-        """One (candidate) fixed-seed tick: thinning, then the handler."""
-        if self._thin_seed and not self._thin_accept(
-            self._seed_schedule, self._seed_bound
-        ):
-            return
-        self._handle_seed_tick()
-
     def _apply_event(self, selector: float) -> None:
         """Apply the event an already drawn selector picks.
 
         ``selector`` is the event-type uniform times the cached total rate
         (``uniform(0, total)`` of one draw, bit for bit); the cache must be
-        clean.  Peer ticks and departures draw their own rows.
+        clean.  Scheduled arrival and fixed-seed-tick candidates pass the
+        thinning acceptance first; peer ticks and departures draw their own
+        rows.
         """
         if selector <= self._rates[0]:
-            self._apply_arrival_event()
+            if self._thin_arrivals and not self._thin_accept(
+                self._arrival_schedule, self._arrival_bound
+            ):
+                return
+            self._handle_arrival()
         elif selector <= self._rate_r01:
-            self._apply_seed_tick_event()
+            if self._thin_seed and not self._thin_accept(
+                self._seed_schedule, self._seed_bound
+            ):
+                return
+            self._handle_seed_tick()
         elif selector <= self._rate_r012:
             self._handle_peer_tick()
         else:
@@ -588,38 +589,8 @@ class _SwarmEventLoop:
         uninterrupted run would have produced.  Event-count bounds are
         cumulative across resumed segments.
         """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if resume:
-            if not self._run_active:
-                raise RuntimeError(
-                    "resume=True requires a suspended run (start one with "
-                    "run(..., suspend_after_events=...) or restore_state)"
-                )
-            if initial_state is not None:
-                raise ValueError("initial_state cannot be combined with resume=True")
-            if horizon != self._run_horizon:
-                raise ValueError(
-                    f"resumed horizon {horizon} does not match the suspended "
-                    f"run's horizon {self._run_horizon}"
-                )
-            if sample_interval is not None and sample_interval != self._run_interval:
-                raise ValueError(
-                    f"resumed sample_interval {sample_interval} does not match "
-                    f"the suspended run's interval {self._run_interval}"
-                )
-            interval = self._run_interval
-        else:
-            if initial_state is not None:
-                self.seed_population(initial_state)
-            interval = (
-                sample_interval if sample_interval is not None else horizon / 200.0
-            )
-            self._run_active = True
-            self._run_horizon = horizon
-            self._run_interval = interval
-            self._next_sample = 0.0
-            self._events = 0
+        self._begin_run(horizon, initial_state, sample_interval, resume)
+        interval = self._run_interval
         next_sample = self._next_sample
         events = self._events
         horizon_reached = True
@@ -707,11 +678,63 @@ class _SwarmEventLoop:
             else:
                 self._apply_event(draws.next() * total)
             events += 1
-        if not suspended:
-            next_sample = self._flush_samples(next_sample, horizon, interval)
         self._next_sample = next_sample
         self._events = events
+        return self._result(horizon_reached, suspended)
+
+    def _begin_run(
+        self,
+        horizon: float,
+        initial_state: Optional[SystemState],
+        sample_interval: Optional[float],
+        resume: bool,
+    ) -> None:
+        """Start a run (or check that a suspended one may continue).
+
+        A fresh run seeds ``initial_state`` and resets the run cursor — the
+        sample grid (``sample_interval``, default ``horizon / 200``) and
+        the cumulative event count.  A resumed run keeps its cursor and its
+        own interval; the horizon must match and ``sample_interval``, when
+        given, must too.
+        """
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if resume:
+            if not self._run_active:
+                raise RuntimeError(
+                    "resume=True requires a suspended run (start one with "
+                    "run(..., suspend_after_events=...) or restore_state)"
+                )
+            if initial_state is not None:
+                raise ValueError("initial_state cannot be combined with resume=True")
+            if horizon != self._run_horizon:
+                raise ValueError(
+                    f"resumed horizon {horizon} does not match the suspended "
+                    f"run's horizon {self._run_horizon}"
+                )
+            if sample_interval is not None and sample_interval != self._run_interval:
+                raise ValueError(
+                    f"resumed sample_interval {sample_interval} does not match "
+                    f"the suspended run's interval {self._run_interval}"
+                )
+            return
+        if initial_state is not None:
+            self.seed_population(initial_state)
+        self._run_active = True
+        self._run_horizon = horizon
+        self._run_interval = (
+            sample_interval if sample_interval is not None else horizon / 200.0
+        )
+        self._next_sample = 0.0
+        self._events = 0
+
+    def _result(self, horizon_reached: bool, suspended: bool) -> "SwarmResult":
+        """The run's :class:`SwarmResult`; a run that is not suspended is
+        closed first (trailing sample grid flushed, no longer resumable)."""
         if not suspended:
+            self._next_sample = self._flush_samples(
+                self._next_sample, self._run_horizon, self._run_interval
+            )
             self._run_active = False
         return SwarmResult(
             metrics=self.metrics,
@@ -720,7 +743,7 @@ class _SwarmEventLoop:
             final_state=self.current_state(),
             horizon_reached=horizon_reached,
             suspended=suspended,
-            events_executed=events,
+            events_executed=self._events,
         )
 
     def _flush_samples(
@@ -928,8 +951,6 @@ class SwarmSimulator(_SwarmEventLoop):
             k: 0 for k in range(1, params.num_pieces + 1)
         }
         self._next_peer_id = 0
-        self._time = 0.0
-        self.metrics = SwarmMetrics()
         # One live view shared across policy calls; the oracle census is a
         # read-only proxy of the live count dict (zero-copy, but a mutating
         # policy fails loudly), the scalar fields are refreshed per call.

@@ -205,6 +205,48 @@ class TestLaneBitIdentity:
         resumed = solo.run(HORIZON, resume=True)
         assert result_tuple(resumed) == result_tuple(stacked[0])
 
+    def test_resume_without_interval_keeps_the_suspended_grid(self):
+        """A restored lane resumed with ``sample_interval`` omitted records
+        on the suspended run's grid, as the solo ``run(resume=True)`` does,
+        not on a fresh ``horizon / 200`` one."""
+        params = mk_params()
+        init = SystemState.one_club(10, 200)
+        kernel = ArraySwarmKernel(params, seed=np.random.default_rng(77))
+        kernel.run(
+            HORIZON,
+            initial_state=init,
+            sample_interval=INTERVAL,
+            suspend_after_events=100,
+        )
+        stack = StackedSwarmKernel()
+        stack.add_lane(
+            params, seed=np.random.default_rng(77), snapshot=kernel.capture_state()
+        )
+        (stacked,) = stack.run_all(HORIZON)
+        uninterrupted = ArraySwarmKernel(
+            params, seed=np.random.default_rng(77)
+        ).run(HORIZON, initial_state=init, sample_interval=INTERVAL)
+        assert result_tuple(stacked) == result_tuple(uninterrupted)
+
+    def test_initial_state_for_a_restored_lane_is_rejected(self):
+        """Like the solo ``run(initial_state=..., resume=True)``, an
+        ``initial_states`` entry for a lane that resumes is an error."""
+        params = mk_params()
+        init = SystemState.one_club(10, 200)
+        kernel = ArraySwarmKernel(params, seed=np.random.default_rng(77))
+        kernel.run(
+            HORIZON,
+            initial_state=init,
+            sample_interval=INTERVAL,
+            suspend_after_events=100,
+        )
+        stack = StackedSwarmKernel()
+        stack.add_lane(
+            params, seed=np.random.default_rng(77), snapshot=kernel.capture_state()
+        )
+        with pytest.raises(ValueError, match="initial_state cannot be combined"):
+            stack.run_all(HORIZON, initial_states=[init])
+
     def test_block_size_one_uses_solo_fallback(self, monkeypatch):
         """``DRAW_BLOCK_SIZE=1`` (the CI determinism pin) still produces the
         solo trajectories — tiny blocks take the per-lane fallback path."""

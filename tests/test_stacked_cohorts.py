@@ -1,15 +1,15 @@
-"""Ragged-stack property tests for the cross-lane cohort dispatcher.
+"""Ragged-stack property tests for the stacked kernel's round loop.
 
-The cohort dispatch groups every active lane's next pending event into
-per-event-type cohorts each round, so its trickiest shapes are *ragged*
-stacks: lanes that retire mid-round (event cap, absorption, horizon) while
-others keep going, lanes whose piece counts and populations differ wildly
-(heterogeneous window widths and ticker-table shapes), and the degenerate
-1-lane stack, which must collapse to exactly the solo kernel's trajectory.
-``tests/test_stacked.py`` pins the headline bit-identity contract; this file
-stresses the grouping machinery itself.  Chunk-size invariance of the fleet
-entry points rides along: sharding is pure bookkeeping, so fingerprints
-cannot depend on it.
+Each round advances every active lane on its own and then classifies the
+wasted-tick windows of all lanes together, so the loop's trickiest shapes
+are *ragged* stacks: lanes that retire mid-round (event cap, absorption,
+horizon) while others keep going, lanes whose piece counts and populations
+differ wildly (heterogeneous window widths and ticker-table shapes), and
+the degenerate 1-lane stack, which must collapse to exactly the solo
+kernel's trajectory.  ``tests/test_stacked.py`` pins the headline
+bit-identity contract; this file stresses the cross-lane machinery itself.
+Chunk-size invariance of the fleet entry points rides along: sharding is
+pure bookkeeping, so fingerprints cannot depend on it.
 """
 
 import numpy as np
@@ -98,7 +98,7 @@ def run_both(lanes, **run_kwargs):
 
 class TestRaggedStacks:
     def test_single_lane_stack_equals_solo(self):
-        """The degenerate 1-lane stack is the solo kernel under cohorts."""
+        """The degenerate 1-lane stack is the solo kernel, round loop and all."""
         lanes = [(mk_params(), 11, SystemState.one_club(10, 150))]
         solos, stacked = run_both(lanes)
         assert result_tuple(solos[0]) == result_tuple(stacked[0])
