@@ -8,15 +8,17 @@ dual-kernel runner into a phase-diagram machine:
 * :mod:`repro.fleet.spec` — :class:`FleetSpec` (swarm count + a parameter
   sampler + a weighted scenario mix + run controls) and the deterministic
   per-swarm task materialization;
-* :mod:`repro.fleet.scheduler` — :class:`FleetScheduler` /
-  :func:`run_fleet` / :func:`resume_fleet`: chunked worker-process
-  sharding with results independent of the worker count, streaming
+* :mod:`repro.fleet.scheduler` — the one fleet run loop,
+  ``PersistentFleetExecution``: rounds of swarm tasks sharded in chunks over
+  worker processes with results independent of the worker count, streaming
   aggregation, and offset checkpoint/resume (including mid-swarm kernel
-  snapshots);
+  snapshots).  :class:`FleetScheduler` / :func:`run_fleet` /
+  :func:`resume_fleet` run a fixed census as its single round;
 * :mod:`repro.fleet.adaptive` — :class:`AdaptiveFleetDriver` /
   :func:`run_adaptive_fleet`: budget-driven active sampling of
   ``(λ, U_s, scenario)`` candidates by Beta-posterior uncertainty, with a
-  boundary-stability stopping rule, same determinism and resume contract;
+  boundary-stability stopping rule — one round per acquisition step on the
+  same loop, so the same determinism and resume contract;
 * :mod:`repro.fleet.persistence` — the streaming JSONL fleet log (one
   schema-versioned, CRC32-checksummed record per completed swarm, fsync'd
   batches, live ``tail -f``, segment rotation and census compaction,

@@ -36,31 +36,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.tables import format_table
 from ..simulation.rng import SeedLike
 from ..swarm.swarm import unsupported_option
-from .checkpoint import load_checkpoint
 from .faults import FaultPlan
-from .persistence import FleetLogWriter, read_log
 from .result import FleetResult, FleetSwarmRecord
-from .scheduler import (
-    PersistentFleetExecution,
-    _check_stacked_task,
-    _run_fleet_chunk,
-    _run_stacked_chunk,
-    _run_swarm_task,
-)
+from .scheduler import PersistentFleetExecution
 from .spec import (
     FixedSampler,
     FleetSpec,
     ScenarioWeight,
+    SwarmTask,
     _freeze_values,
     _root_sequence,
-    normalize_fleet_seed,
     task_for_point,
 )
 
@@ -510,28 +502,6 @@ def _replay_state(
     return state, None
 
 
-class _SeedStream:
-    """Sequential ``SeedSequence.spawn`` children keyed by global swarm index."""
-
-    def __init__(self, token):
-        self._root = _root_sequence(token)
-        self._cursor = 0
-
-    def skip(self, count: int) -> None:
-        if count:
-            self._root.spawn(count)
-            self._cursor += count
-
-    def child(self, index: int) -> np.random.SeedSequence:
-        if index != self._cursor:
-            raise ValueError(
-                f"seed stream out of step: asked for child {index}, cursor at "
-                f"{self._cursor}"
-            )
-        self._cursor += 1
-        return self._root.spawn(1)[0]
-
-
 @dataclass(eq=False)
 class AdaptiveFleetResult:
     """Outcome of one adaptive boundary-mapping run.
@@ -650,366 +620,72 @@ class AdaptiveFleetResult:
 class AdaptiveFleetDriver(PersistentFleetExecution):
     """Execute an :class:`AdaptiveFleetSpec` with streaming persistence.
 
-    Mirrors :class:`~repro.fleet.scheduler.FleetScheduler`'s surface —
-    ``workers`` / ``chunk_size`` sharding through
-    :func:`~repro.experiments.runner.map_tasks`, JSONL log streaming, offset
-    checkpoints, deterministic kill (``stop_after_swarms`` /
-    ``suspend_after_events``), exact :meth:`resume` and ``stacked``
-    execution (each chunk of a round runs inside one
-    :class:`~repro.swarm.stacked.StackedSwarmKernel`; records are
-    bit-identical either way, so the sampled-point trail and boundary
-    estimate do not depend on the execution path) — via the shared
-    :class:`~repro.fleet.scheduler.PersistentFleetExecution` plumbing.
+    The adaptive part of a run, as round hooks on the shared
+    :class:`~repro.fleet.scheduler.PersistentFleetExecution` loop (which
+    owns sharding, JSONL logging, offset checkpoints, the deterministic
+    kill switches, exact :meth:`resume` and ``stacked`` execution — see
+    there for the parameters): :meth:`_prepare` replays the log prefix into
+    the acquisition state, the seed stream and the cell assignments;
+    :meth:`_rounds` yields the interrupted round's remainder, then each
+    acquisition round's tasks, folding every completed round into the
+    posterior; :meth:`_result` wraps the census with the trail.  Records
+    are bit-identical on either execution path, so the sampled-point trail
+    and boundary estimate do not depend on it.
     """
 
-    def __init__(
-        self,
-        spec: AdaptiveFleetSpec,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
-        log_path: Optional[Union[str, Path]] = None,
-        fsync_every_n: int = 1,
-        stacked: bool = False,
-        max_retries: int = 0,
-        task_timeout: Optional[float] = None,
-        retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ):
-        if stacked and spec.backend != "array":
-            raise unsupported_option(
-                "stacked fleet execution", "backend", spec.backend,
-                f"spec {spec.name!r} must use the 'array' backend; run with "
-                f"stacked=False or switch the spec to the array backend",
+    spec_type = AdaptiveFleetSpec
+    # Acquisition decisions are taken at round ends, so each gets a
+    # checkpoint.
+    _checkpoint_rounds = True
+
+    def _round_size(self) -> int:
+        return self.spec.round_size
+
+    def _execution_spec(self) -> FleetSpec:
+        return self.spec.execution_spec()
+
+    def _prepare(self, seed, records: List[FleetSwarmRecord]) -> None:
+        self._state, self._pending = _replay_state(self.spec, records)
+        # The cell of every task built so far, in global swarm order.
+        self._cells = [cell for summary in self._state.trail for cell in summary.cells]
+        if self._pending is not None:
+            allocation, done = self._pending
+            self._cells.extend(self.spec.cells[i] for i in allocation[:done])
+        # Swarm seeds are the root's spawn children in global swarm order.
+        self._seeds = _root_sequence(seed)
+        self._seeds.spawn(len(records))
+
+    def _rounds(self, result: FleetResult) -> Iterator[List[SwarmTask]]:
+        state = self._state
+        allocation, done = self._pending or (state.next_round(), 0)
+        while allocation is not None:
+            yield [self._task(cell_index) for cell_index in allocation[done:]]
+            state.complete_round(
+                allocation,
+                result.records[state.completed : state.completed + len(allocation)],
             )
-        self.spec = spec
-        self.stacked = stacked
-        self._init_execution(
-            workers,
-            chunk_size,
-            spec.round_size,
-            checkpoint_path,
-            checkpoint_every,
-            log_path,
-            fsync_every_n,
-            stacked,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            retry_backoff=retry_backoff,
-            rotate_every=rotate_every,
-            compact_after=compact_after,
-            fault_plan=fault_plan,
+            allocation, done = state.next_round(), 0
+
+    def _result(self, result: FleetResult) -> AdaptiveFleetResult:
+        return AdaptiveFleetResult(
+            spec=self.spec,
+            fleet=result,
+            rounds=tuple(self._state.trail),
+            cell_assignments=tuple(self._cells[: len(result.records)]),
+            stopped=self._state.stopped,
         )
 
-    def _swarm_target(self) -> int:
-        return self.spec.swarm_budget
-
-    # -- entry points --------------------------------------------------------
-
-    def run(
-        self,
-        seed: SeedLike = 0,
-        stop_after_swarms: Optional[int] = None,
-        suspend_after_events: Optional[int] = None,
-    ) -> AdaptiveFleetResult:
-        """Run the adaptive fleet from scratch until the stopping rule fires.
-
-        ``stop_after_swarms`` / ``suspend_after_events`` are the same
-        deterministic kill switches as on the fixed scheduler (the latter
-        snapshots the next swarm mid-flight into the checkpoint).
-        """
-        if suspend_after_events is not None and stop_after_swarms is None:
-            raise ValueError(
-                "suspend_after_events requires stop_after_swarms (the swarm "
-                "to suspend is the one right after the stop point)"
-            )
-        if stop_after_swarms is not None and self.checkpoint_path is None:
-            raise ValueError(
-                "stopping early without a checkpoint_path would lose the "
-                "completed work; configure a checkpoint"
-            )
-        token = normalize_fleet_seed(seed)
-        state = _AcquisitionState(self.spec)
-        result = FleetResult(
-            spec_name=self.spec.name, num_swarms=self.spec.swarm_budget
-        )
-        stream = _SeedStream(token)
-        writer = self._open_writer(token)
-        return self._drive(
-            state,
-            result,
-            token,
-            stream,
-            writer,
-            assignments=[],
-            pending=None,
-            in_flight=None,
-            stop_after_swarms=stop_after_swarms,
-            suspend_after_events=suspend_after_events,
-            fresh=True,
-        )
-
-    def resume(
-        self, checkpoint_path: Optional[Union[str, Path]] = None
-    ) -> AdaptiveFleetResult:
-        """Resume a killed adaptive run from its checkpoint + JSONL log.
-
-        Replays the log prefix through the acquisition automaton (restoring
-        posteriors, trail and the interrupted round's allocation), restores
-        a mid-swarm kernel snapshot when present, and continues to the exact
-        result of an uninterrupted run.
-        """
-        path = Path(checkpoint_path) if checkpoint_path else self.checkpoint_path
-        if path is None:
-            raise ValueError("no checkpoint_path configured or given")
-        checkpoint = load_checkpoint(path)
-        if not isinstance(checkpoint.spec, AdaptiveFleetSpec):
-            raise ValueError(
-                f"{path} checkpoints a {type(checkpoint.spec).__name__}, not an "
-                "adaptive fleet; use FleetScheduler.resume"
-            )
-        if checkpoint.spec != self.spec:
-            raise ValueError(
-                "checkpoint spec does not match this driver's spec; "
-                "use AdaptiveFleetDriver.from_checkpoint"
-            )
-        self.checkpoint_path = path
-        self.log_path = checkpoint.log_path(path)
-        log = read_log(self.log_path, max_records=checkpoint.num_records)
-        if len(log.records) < checkpoint.num_records:
-            raise ValueError(
-                f"fleet log {self.log_path} holds {len(log.records)} records "
-                f"but the checkpoint expects {checkpoint.num_records}"
-            )
-        records = list(log.records)
-        state, pending = _replay_state(self.spec, records)
-        assignments = [
-            cell for summary in state.trail for cell in summary.cells
-        ]
-        if pending is not None:
-            allocation, done = pending
-            assignments.extend(self.spec.cells[i] for i in allocation[:done])
-        result = FleetResult.from_records(
-            self.spec.name, self.spec.swarm_budget, records
-        )
-        stream = _SeedStream(checkpoint.seed)
-        stream.skip(len(records))
-        writer = self._open_writer(checkpoint.seed, checkpoint=checkpoint)
-        return self._drive(
-            state,
-            result,
-            checkpoint.seed,
-            stream,
-            writer,
-            assignments=assignments,
-            pending=pending,
-            in_flight=checkpoint.in_flight,
-            stop_after_swarms=None,
-            suspend_after_events=None,
-        )
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        checkpoint_path: Union[str, Path],
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        checkpoint_every: int = 1,
-        fsync_every_n: int = 1,
-        stacked: bool = False,
-        max_retries: int = 0,
-        task_timeout: Optional[float] = None,
-        retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> "AdaptiveFleetDriver":
-        """Build a driver around the adaptive spec stored in a checkpoint.
-
-        ``stacked`` (like the supervision and log-layout knobs) is an
-        execution property, not part of the spec: a run checkpointed by
-        either path resumes (bit-identically) through the other.
-        """
-        checkpoint = load_checkpoint(checkpoint_path)
-        if not isinstance(checkpoint.spec, AdaptiveFleetSpec):
-            raise ValueError(
-                f"{checkpoint_path} does not checkpoint an adaptive fleet"
-            )
-        return cls(
-            checkpoint.spec,
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            fsync_every_n=fsync_every_n,
-            stacked=stacked,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            retry_backoff=retry_backoff,
-            rotate_every=rotate_every,
-            compact_after=compact_after,
-            fault_plan=fault_plan,
-        )
-
-    # -- core ----------------------------------------------------------------
-
-    def _task(self, stream: _SeedStream, global_index: int, cell_index: int):
-        child = stream.child(global_index)
-        _assignment_seq, simulation_seq = child.spawn(2)
+    def _task(self, cell_index: int) -> SwarmTask:
+        global_index = len(self._cells)
         cell = self.spec.cells[cell_index]
+        self._cells.append(cell)
+        _assignment_seq, simulation_seq = self._seeds.spawn(1)[0].spawn(2)
         kwargs: Dict[str, float] = dict(self.spec.base_overrides)
         kwargs["num_pieces"] = self.spec.num_pieces
         kwargs["arrival_rate"] = self.spec.arrival_rates[cell.arrival]
         kwargs["seed_rate"] = self.spec.seed_rates[cell.seed]
-        task = task_for_point(
+        return task_for_point(
             global_index, simulation_seq, kwargs, self.spec.strata[cell.stratum]
-        )
-        # Every task the driver runs flows through here, so this is the one
-        # choke point for the stacked kernel's representability bound.
-        if self.stacked:
-            _check_stacked_task(task)
-        return task
-
-    def _drive(
-        self,
-        state: _AcquisitionState,
-        result: FleetResult,
-        token,
-        stream: _SeedStream,
-        writer: Optional[FleetLogWriter],
-        assignments: List[CellKey],
-        pending: Optional[Tuple[Tuple[int, ...], int]],
-        in_flight: Optional[Tuple[int, Dict[str, Any]]],
-        stop_after_swarms: Optional[int],
-        suspend_after_events: Optional[int],
-        fresh: bool = False,
-    ) -> AdaptiveFleetResult:
-        exec_spec = self.spec.execution_spec()
-        cells = self.spec.cells
-        run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
-        try:
-            if fresh:
-                # An initial checkpoint pins the (spec, seed) pair on disk
-                # before any work: a crash at any later point can resume.
-                self._write_checkpoint(
-                    result, token, writer, in_flight=None, fresh=True
-                )
-            if in_flight is not None:
-                # The suspended swarm is the next one of the interrupted
-                # round (or the first of a freshly allocated round when the
-                # kill landed exactly on a round boundary).
-                if pending is None:
-                    allocation = state.next_round()
-                    if allocation is None:
-                        raise ValueError(
-                            "checkpoint carries an in-flight swarm but the "
-                            "acquisition schedule is already finished"
-                        )
-                    pending = (allocation, 0)
-                allocation, done = pending
-                index, snapshot = in_flight
-                task = self._task(stream, index, allocation[done])
-                record = _run_swarm_task(exec_spec, task, snapshot=snapshot)
-                result.add(record)
-                assignments.append(cells[allocation[done]])
-                self._append(writer, [record])
-                pending = (allocation, done + 1)
-                self._write_checkpoint(result, token, writer, in_flight=None)
-            while True:
-                if pending is not None:
-                    allocation, done = pending
-                    pending = None
-                else:
-                    allocation = state.next_round()
-                    if allocation is None:
-                        break
-                    done = 0
-                remaining = allocation[done:]
-                run_now = len(remaining)
-                if stop_after_swarms is not None:
-                    run_now = min(
-                        run_now, max(stop_after_swarms - len(result.records), 0)
-                    )
-                tasks = [
-                    self._task(stream, len(result.records) + offset, cell_index)
-                    for offset, cell_index in enumerate(remaining[:run_now])
-                ]
-                chunks = [
-                    (
-                        exec_spec,
-                        tasks[start : start + self.chunk_size],
-                        self.fault_plan,
-                    )
-                    for start in range(0, len(tasks), self.chunk_size)
-                ]
-                since_checkpoint = 0
-                round_start = state.completed
-                for records in self._map_chunks(run_chunk, chunks):
-                    for record in records:
-                        position_in_round = len(result.records) - round_start
-                        result.add(record)
-                        assignments.append(cells[allocation[position_in_round]])
-                    self._append(writer, records)
-                    since_checkpoint += 1
-                    if since_checkpoint >= self.checkpoint_every:
-                        self._write_checkpoint(result, token, writer, in_flight=None)
-                        since_checkpoint = 0
-                if run_now < len(remaining):
-                    # Deterministic kill mid-round: optionally suspend the
-                    # next swarm mid-flight so the checkpoint carries a
-                    # kernel snapshot across the "kill".
-                    pending_in_flight = None
-                    if suspend_after_events is not None:
-                        next_cell = remaining[run_now]
-                        task = self._task(
-                            stream, len(result.records), next_cell
-                        )
-                        outcome = _run_swarm_task(
-                            exec_spec, task, suspend_after_events=suspend_after_events
-                        )
-                        if isinstance(outcome, FleetSwarmRecord):
-                            # Finished before the suspension point: record it.
-                            result.add(outcome)
-                            assignments.append(cells[next_cell])
-                            self._append(writer, [outcome])
-                        else:
-                            pending_in_flight = (task.index, outcome)
-                    self._write_checkpoint(
-                        result, token, writer, in_flight=pending_in_flight
-                    )
-                    return self._partial_result(state, result, assignments)
-                state.complete_round(
-                    allocation,
-                    result.records[state.completed : state.completed + len(allocation)],
-                )
-                self._write_checkpoint(result, token, writer, in_flight=None)
-            self._write_checkpoint(result, token, writer, in_flight=None)
-            return AdaptiveFleetResult(
-                spec=self.spec,
-                fleet=result,
-                rounds=tuple(state.trail),
-                cell_assignments=tuple(assignments),
-                stopped=state.stopped,
-            )
-        finally:
-            if writer is not None:
-                writer.close()
-
-    def _partial_result(
-        self,
-        state: _AcquisitionState,
-        result: FleetResult,
-        assignments: List[CellKey],
-    ) -> AdaptiveFleetResult:
-        return AdaptiveFleetResult(
-            spec=self.spec,
-            fleet=result,
-            rounds=tuple(state.trail),
-            cell_assignments=tuple(assignments),
-            stopped=None,
         )
 
 

@@ -1,8 +1,12 @@
-"""Fleet scheduler: shard swarms over workers, stream to a log, resume.
+"""Fleet run loop: shard swarms over workers, stream to a log, resume.
 
-:class:`FleetScheduler` executes a :class:`~repro.fleet.spec.FleetSpec`:
+:class:`PersistentFleetExecution` is the one run loop of both fleet drivers:
+it executes a run as *rounds* of swarm tasks.  :class:`FleetScheduler`
+executes a :class:`~repro.fleet.spec.FleetSpec` as a single round of all its
+materialized tasks; the adaptive driver (:mod:`repro.fleet.adaptive`) adds
+one round per acquisition step.  For every round:
 
-* **sharding** — the materialized swarm tasks are grouped into chunks of
+* **sharding** — the round's swarm tasks are grouped into chunks of
   ``chunk_size`` consecutive swarms and mapped over
   :func:`repro.experiments.runner.map_tasks` (the same process-pool
   primitive :class:`~repro.experiments.runner.BatchRunner` uses), so many
@@ -27,9 +31,9 @@
   :mod:`repro.fleet.checkpoint`).  A checkpoint is just a byte offset into
   the log plus, when the run stopped mid-swarm, the suspended simulator's
   kernel snapshot (``suspend_after_events`` / ``capture_state``).
-  :meth:`FleetScheduler.resume` / :func:`resume_fleet` reload the
-  checkpoint, replay the log prefix and continue to the *exact*
-  ``FleetResult`` of an uninterrupted run.
+  :meth:`PersistentFleetExecution.resume` / :func:`resume_fleet` reload
+  the checkpoint, replay the log prefix and continue to the *exact*
+  result of an uninterrupted run.
 
 ``run(stop_after_swarms=..., suspend_after_events=...)`` exposes the
 interruption points deterministically, which is how the tests (and the CI
@@ -38,9 +42,10 @@ smoke step) "kill" a fleet mid-run without process signals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -194,21 +199,88 @@ def _default_chunk_size(
 
 
 class PersistentFleetExecution:
-    """Shared execution plumbing of the fixed scheduler and the adaptive
-    driver: worker/chunk validation, JSONL-log pairing (a checkpoint always
-    gets a sibling ``<checkpoint>.jsonl`` log), batched log appends, and
-    offset checkpoints.  Subclasses set ``self.spec`` (anything with a
-    ``name``) before calling :meth:`_init_execution` and define
-    :meth:`_swarm_target` (the swarm count the log header advertises)."""
+    """The one run loop of the fixed scheduler and the adaptive driver.
 
-    def _init_execution(
+    A run is a sequence of *rounds* of swarm tasks (:meth:`_rounds`): the
+    fixed census is a single round, ``tasks[done:]``; the adaptive driver
+    yields the interrupted round's remainder, then one round per
+    acquisition step.  Everything else lives here, once: option
+    validation, JSONL-log pairing (a checkpoint always gets a sibling
+    ``<checkpoint>.jsonl`` log), the fresh checkpoint, the in-flight resume
+    (the suspended swarm is always the first task of the first round), the
+    chunk map / fold / append / cadence-checkpoint loop, the deterministic
+    stop that suspends the next swarm into the checkpoint, and
+    :meth:`resume` / :meth:`from_checkpoint` from a checkpoint plus its log
+    prefix.
+
+    Subclasses set ``spec_type`` and define :meth:`_round_size` (the chunk
+    size default's unit), :meth:`_prepare` (per-run state, rebuilt from
+    the log prefix on resume), :meth:`_rounds` and :meth:`_result`, and may
+    override :meth:`_execution_spec` and ``_checkpoint_rounds``.
+
+    Parameters
+    ----------
+    spec:
+        The frozen run description (an instance of ``spec_type``).
+    workers:
+        ``None``/0/1 runs in-process; ``n > 1`` shards chunks over the
+        supervised executor of :func:`repro.experiments.runner.map_tasks`
+        (a dead worker raises instead of hanging the run).  The result is
+        identical either way.
+    chunk_size:
+        Consecutive swarms per worker dispatch (default: a few chunks per
+        worker lane).
+    checkpoint_path:
+        When set, progress is checkpointed here after every
+        ``checkpoint_every`` completed chunks (and at every stop); the
+        checkpoint stores only an offset into the JSONL log.
+    log_path:
+        Where the streaming JSONL fleet log lives.  Defaults to a sibling of
+        ``checkpoint_path`` (``<checkpoint>.jsonl``) when checkpointing is
+        on; may also be set alone to stream records without checkpoints.
+    fsync_every_n:
+        Fsync the log once per this many appended records instead of per
+        append (default 1, the original per-chunk durability); checkpoints
+        always force a sync first, so resume stays exact.
+    stacked:
+        Execute each chunk in one :class:`~repro.swarm.stacked.StackedSwarmKernel`
+        instead of one solo kernel per swarm.  Every swarm's trajectory —
+        and therefore every record, the fleet fingerprint, and any
+        checkpoint snapshot — is bit-identical to the per-swarm path;
+        only throughput changes.  Requires the ``"array"`` backend and
+        ``num_pieces <= 64`` for every swarm.
+    max_retries / task_timeout / retry_backoff:
+        Worker supervision (see :func:`repro.experiments.runner.map_tasks`):
+        with retries or a deadline configured, the executor respawns dead
+        workers, retries failed chunks with deterministic backoff, and
+        chunks that keep failing are quarantined — one poison swarm
+        degrades to a ``failed`` record instead of taking the run down.
+        Retried swarms reproduce their exact records (per-swarm seeds are
+        independent ``SeedSequence.spawn`` children), so fingerprints are
+        unchanged.
+    rotate_every / compact_after:
+        Log segmentation (see :mod:`repro.fleet.persistence`): rotate the
+        active log file into a numbered closed segment every that many
+        records, and compact closed segments into one census snapshot
+        once that many have accumulated.  Resume stays exact across both.
+    fault_plan:
+        A :class:`~repro.fleet.faults.FaultPlan` of injected failures for
+        chaos testing; ``None`` (the default) costs nothing.
+    """
+
+    #: The spec class this runner executes (and accepts in checkpoints).
+    spec_type: type
+    #: Whether a checkpoint is also written at the end of every round.
+    _checkpoint_rounds = False
+
+    def __init__(
         self,
-        workers: Optional[int],
-        chunk_size: Optional[int],
-        default_chunk_items: int,
-        checkpoint_path: Optional[Union[str, Path]],
-        checkpoint_every: int,
-        log_path: Optional[Union[str, Path]],
+        spec,
+        workers: Optional[int] = None,
+        chunk_size: Optional[int] = None,
+        checkpoint_path: Optional[Union[str, Path]] = None,
+        checkpoint_every: int = 1,
+        log_path: Optional[Union[str, Path]] = None,
         fsync_every_n: int = 1,
         stacked: bool = False,
         max_retries: int = 0,
@@ -217,7 +289,13 @@ class PersistentFleetExecution:
         rotate_every: Optional[int] = None,
         compact_after: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
+    ):
+        if stacked and spec.backend != "array":
+            raise unsupported_option(
+                "stacked fleet execution", "backend", spec.backend,
+                f"spec {spec.name!r} must use the 'array' backend; run with "
+                f"stacked=False or switch the spec to the array backend",
+            )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if checkpoint_every < 1:
@@ -233,10 +311,12 @@ class PersistentFleetExecution:
         _check_supervision(
             "fleet execution", max_retries, task_timeout, retry_backoff
         )
+        self.spec = spec
+        self.stacked = stacked
         self.workers = workers
         self.fsync_every_n = fsync_every_n
         self.chunk_size = chunk_size or _default_chunk_size(
-            default_chunk_items, workers, stacked
+            self._round_size(), workers, stacked
         )
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.checkpoint_every = checkpoint_every
@@ -255,46 +335,266 @@ class PersistentFleetExecution:
         else:
             self.log_path = None
 
-    def _swarm_target(self) -> int:
-        """The swarm count the log header advertises (budget for adaptive)."""
+    # -- subclass hooks -------------------------------------------------------
+
+    def _round_size(self) -> int:
+        """Swarms per round: the unit the default chunk size divides."""
         raise NotImplementedError
 
+    def _execution_spec(self) -> FleetSpec:
+        """The ``FleetSpec`` whose run controls every swarm task uses; its
+        ``name`` / ``num_swarms`` also head the log and the census."""
+        return self.spec
+
+    def _prepare(self, seed: SeedLike, records: List[FleetSwarmRecord]) -> None:
+        """Set up per-run state; ``records`` is the replayed log prefix."""
+        raise NotImplementedError
+
+    def _rounds(self, result: FleetResult) -> Iterator[List[SwarmTask]]:
+        """The rounds of tasks still to run, each yielded once the previous
+        round has completed."""
+        raise NotImplementedError
+
+    def _result(self, result: FleetResult):
+        """The run's return value (``result`` itself for the fixed fleet)."""
+        return result
+
+    # -- entry points ---------------------------------------------------------
+
+    def run(
+        self,
+        seed: SeedLike = 0,
+        stop_after_swarms: Optional[int] = None,
+        suspend_after_events: Optional[int] = None,
+    ):
+        """Run from scratch.
+
+        ``stop_after_swarms`` ends the run (incomplete) once that many swarms
+        have been folded in — the deterministic equivalent of killing the
+        run.  ``suspend_after_events`` additionally suspends the *next*
+        swarm mid-flight after that many events and stores its kernel
+        snapshot in the checkpoint, exercising the mid-swarm resume path; it
+        requires ``stop_after_swarms`` and a ``checkpoint_path``.
+        """
+        if suspend_after_events is not None and stop_after_swarms is None:
+            raise ValueError(
+                "suspend_after_events requires stop_after_swarms (the swarm "
+                "to suspend is the one right after the stop point)"
+            )
+        if stop_after_swarms is not None and self.checkpoint_path is None:
+            raise ValueError(
+                "stopping early without a checkpoint_path would lose the "
+                "completed work; configure a checkpoint"
+            )
+        # Normalized once up front: the checkpoint then stores a pure,
+        # picklable token, so resume re-derives the identical tasks even
+        # when the caller passed a (mutable) SeedSequence or Generator.
+        return self._drive(
+            normalize_fleet_seed(seed),
+            [],
+            None,
+            stop_after_swarms,
+            suspend_after_events,
+        )
+
+    def resume(self, checkpoint_path: Optional[Union[str, Path]] = None):
+        """Continue a checkpointed run to completion.
+
+        The checkpoint's spec must equal this run's spec; the master seed
+        travels inside the checkpoint and the completed-swarm prefix is
+        replayed from the paired JSONL log (truncated back to the
+        checkpointed offset first).  A mid-swarm snapshot, when present, is
+        restored into a fresh simulator and resumed first.
+        """
+        path = Path(checkpoint_path) if checkpoint_path else self.checkpoint_path
+        if path is None:
+            raise ValueError("no checkpoint_path configured or given")
+        checkpoint = self._load_checkpoint(path)
+        if checkpoint.spec != self.spec:
+            raise ValueError(
+                f"checkpoint spec does not match this {type(self).__name__}'s "
+                f"spec; use {type(self).__name__}.from_checkpoint"
+            )
+        self.checkpoint_path = path
+        self.log_path = checkpoint.log_path(path)
+        log = read_log(self.log_path, max_records=checkpoint.num_records)
+        if len(log.records) < checkpoint.num_records:
+            raise ValueError(
+                f"fleet log {self.log_path} holds {len(log.records)} records "
+                f"but the checkpoint expects {checkpoint.num_records}"
+            )
+        return self._drive(checkpoint.seed, list(log.records), checkpoint, None, None)
+
+    @classmethod
+    def from_checkpoint(
+        cls,
+        checkpoint_path: Union[str, Path],
+        workers: Optional[int] = None,
+        chunk_size: Optional[int] = None,
+        checkpoint_every: int = 1,
+        fsync_every_n: int = 1,
+        stacked: bool = False,
+        max_retries: int = 0,
+        task_timeout: Optional[float] = None,
+        retry_backoff: float = 0.0,
+        rotate_every: Optional[int] = None,
+        compact_after: Optional[int] = None,
+        fault_plan: Optional[FaultPlan] = None,
+    ):
+        """Build a runner around the spec stored in a checkpoint.
+
+        ``stacked`` (like the supervision and log-layout knobs) is an
+        execution property, not part of the spec: a run checkpointed by
+        either path resumes (bit-identically) through the other.
+        """
+        return cls(
+            cls._load_checkpoint(checkpoint_path).spec,
+            workers=workers,
+            chunk_size=chunk_size,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            fsync_every_n=fsync_every_n,
+            stacked=stacked,
+            max_retries=max_retries,
+            task_timeout=task_timeout,
+            retry_backoff=retry_backoff,
+            rotate_every=rotate_every,
+            compact_after=compact_after,
+            fault_plan=fault_plan,
+        )
+
+    @classmethod
+    def _load_checkpoint(cls, path: Union[str, Path]) -> FleetCheckpoint:
+        checkpoint = load_checkpoint(path)
+        if not isinstance(checkpoint.spec, cls.spec_type):
+            raise ValueError(
+                f"{path} checkpoints spec type {type(checkpoint.spec).__name__}, "
+                f"which {cls.__name__} cannot run; resume FleetSpec checkpoints "
+                f"with resume_fleet and AdaptiveFleetSpec checkpoints with "
+                f"resume_adaptive_fleet"
+            )
+        return checkpoint
+
+    # -- the run loop ---------------------------------------------------------
+
+    def _drive(
+        self,
+        seed: SeedLike,
+        records: List[FleetSwarmRecord],
+        checkpoint: Optional[FleetCheckpoint],
+        stop_after_swarms: Optional[int],
+        suspend_after_events: Optional[int],
+    ):
+        spec = self._execution_spec()
+        self._prepare(seed, records)
+        result = FleetResult.from_records(spec.name, spec.num_swarms, records)
+        writer = self._open_writer(spec, seed, checkpoint)
+        run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
+        try:
+            rounds = self._rounds(result)
+            if checkpoint is None:
+                # An initial checkpoint pins the (spec, seed) pair on disk
+                # before any work: a crash at any later point can resume.
+                self._write_checkpoint(result, seed, writer, fresh=True)
+            elif checkpoint.in_flight is not None:
+                # The suspended swarm is the first task of the first round.
+                first = next(rounds, [])
+                if not first:
+                    raise ValueError(
+                        "checkpoint carries an in-flight swarm but the "
+                        "schedule is already finished"
+                    )
+                record = _run_swarm_task(
+                    spec, first[0], snapshot=checkpoint.in_flight[1]
+                )
+                self._fold(result, writer, [record])
+                self._write_checkpoint(result, seed, writer)
+                rounds = itertools.chain([first[1:]], rounds)
+            for tasks in rounds:
+                if self.stacked:
+                    for task in tasks:
+                        _check_stacked_task(task)
+                run_now = len(tasks)
+                if stop_after_swarms is not None:
+                    run_now = min(
+                        run_now, max(stop_after_swarms - len(result.records), 0)
+                    )
+                to_run = tasks[:run_now]
+                chunks = [
+                    (spec, to_run[start : start + self.chunk_size], self.fault_plan)
+                    for start in range(0, run_now, self.chunk_size)
+                ]
+                since_checkpoint = 0
+                for chunk_records in self._map_chunks(run_chunk, chunks):
+                    self._fold(result, writer, chunk_records)
+                    since_checkpoint += 1
+                    if since_checkpoint >= self.checkpoint_every:
+                        self._write_checkpoint(result, seed, writer)
+                        since_checkpoint = 0
+                if run_now < len(tasks):
+                    # Deterministic kill: optionally suspend the next swarm
+                    # mid-flight so the checkpoint carries a kernel snapshot
+                    # across the "kill".
+                    in_flight = None
+                    if suspend_after_events is not None:
+                        task = tasks[run_now]
+                        outcome = _run_swarm_task(
+                            spec, task, suspend_after_events=suspend_after_events
+                        )
+                        if isinstance(outcome, FleetSwarmRecord):
+                            # Finished before the suspension point: record it.
+                            self._fold(result, writer, [outcome])
+                        else:
+                            in_flight = (task.index, outcome)
+                    self._write_checkpoint(result, seed, writer, in_flight=in_flight)
+                    return self._result(result)
+                if self._checkpoint_rounds:
+                    self._write_checkpoint(result, seed, writer)
+            self._write_checkpoint(result, seed, writer)
+            return self._result(result)
+        finally:
+            if writer is not None:
+                writer.close()
+
+    # -- plumbing -------------------------------------------------------------
+
     def _open_writer(
-        self, seed: SeedLike, checkpoint: Optional[FleetCheckpoint] = None
+        self,
+        spec: FleetSpec,
+        seed: SeedLike,
+        checkpoint: Optional[FleetCheckpoint],
     ) -> Optional[FleetLogWriter]:
         if self.log_path is None:
             return None
         header = FleetLogHeader(
             schema=FLEET_LOG_SCHEMA,
-            spec_name=self.spec.name,
-            num_swarms=self._swarm_target(),
+            spec_name=spec.name,
+            num_swarms=spec.num_swarms,
             seed=seed,
         )
-        if checkpoint is None:
-            return FleetLogWriter(
-                self.log_path,
-                header,
-                fsync_every_n=self.fsync_every_n,
-                rotate_every=self.rotate_every,
-                compact_after=self.compact_after,
-                faults=self._fault_state,
-            )
+        resume = {} if checkpoint is None else dict(
+            resume_offset=checkpoint.log_offset,
+            resume_segment=checkpoint.log_segment,
+            resume_records=checkpoint.num_records,
+        )
         return FleetLogWriter(
             self.log_path,
             header,
-            resume_offset=checkpoint.log_offset,
             fsync_every_n=self.fsync_every_n,
             rotate_every=self.rotate_every,
             compact_after=self.compact_after,
-            resume_segment=checkpoint.log_segment,
-            resume_records=checkpoint.num_records,
             faults=self._fault_state,
+            **resume,
         )
 
     @staticmethod
-    def _append(
-        writer: Optional[FleetLogWriter], records: List[FleetSwarmRecord]
+    def _fold(
+        result: FleetResult,
+        writer: Optional[FleetLogWriter],
+        records: List[FleetSwarmRecord],
     ) -> None:
+        for record in records:
+            result.add(record)
         if writer is not None:
             writer.append(records)
 
@@ -303,7 +603,7 @@ class PersistentFleetExecution:
         result: FleetResult,
         seed: SeedLike,
         writer: Optional[FleetLogWriter],
-        in_flight: Optional[Tuple[int, Dict[str, Any]]],
+        in_flight: Optional[Tuple[int, Dict[str, Any]]] = None,
         fresh: bool = False,
     ) -> None:
         if self.checkpoint_path is None:
@@ -353,341 +653,53 @@ class PersistentFleetExecution:
         )
         for outcome in outcomes:
             if isinstance(outcome, TaskFailure):
-                _spec, chunk_tasks, plan = chunks[outcome.task_index]
-                yield self._quarantine_chunk(_spec, chunk_tasks, plan)
+                yield self._quarantine_chunk(*chunks[outcome.task_index])
             else:
                 yield outcome
 
     def _quarantine_chunk(self, spec, tasks, plan):
         """In-process fallback for a chunk that exhausted its retries.
 
-        Each swarm gets its own fresh attempts; one that still cannot
-        finish degrades to a schema-versioned ``failed`` record (with the
-        final error and attempt count) instead of poisoning the run.
+        Each swarm gets its own fresh attempts through the serial path of
+        :func:`map_tasks`; one that still cannot finish degrades to a
+        schema-versioned ``failed`` record (with the final error and
+        attempt count) instead of poisoning the run.
         """
-        records: List[FleetSwarmRecord] = []
-        for task in tasks:
-            outcome = None
-            last_error: Optional[BaseException] = None
-            for attempt in range(self.max_retries + 1):
-                try:
-                    outcome = _run_swarm_task(
-                        spec, task, faults=plan, attempt=attempt
-                    )
-                    break
-                except Exception as error:  # noqa: BLE001 — quarantine boundary
-                    last_error = error
-            if outcome is None:
-                records.append(
-                    failure_record(
-                        task,
-                        spec,
-                        error=f"{type(last_error).__name__}: {last_error}",
-                        attempts=self.max_retries + 1,
-                    )
-                )
-            else:
-                records.append(outcome)
-        return records
+        from ..experiments.runner import TaskFailure, map_tasks
+
+        outcomes = map_tasks(
+            _run_fleet_chunk,
+            [(spec, [task], plan) for task in tasks],
+            None,
+            max_retries=self.max_retries,
+            retry_backoff=self.retry_backoff,
+            on_exhausted="yield",
+            with_attempt=True,
+        )
+        return [
+            failure_record(task, spec, error=outcome.error, attempts=outcome.attempts)
+            if isinstance(outcome, TaskFailure)
+            else outcome[0]
+            for task, outcome in zip(tasks, outcomes)
+        ]
 
 
 class FleetScheduler(PersistentFleetExecution):
-    """Execute a fleet spec across processes with checkpointable progress.
+    """Execute a :class:`~repro.fleet.spec.FleetSpec` with checkpointable
+    progress: the fixed census is one round of ``spec.num_swarms`` tasks on
+    the shared :class:`PersistentFleetExecution` loop (see there for the
+    parameters)."""
 
-    Parameters
-    ----------
-    spec:
-        The frozen fleet description.
-    workers:
-        ``None``/0/1 runs in-process; ``n > 1`` shards chunks over the
-        supervised executor of :func:`repro.experiments.runner.map_tasks`
-        (a dead worker raises instead of hanging the run).  The result is
-        identical either way.
-    chunk_size:
-        Consecutive swarms per worker dispatch (default: a few chunks per
-        worker lane).
-    checkpoint_path:
-        When set, progress is checkpointed here after every
-        ``checkpoint_every`` completed chunks (and at every stop); the
-        checkpoint stores only an offset into the JSONL log.
-    log_path:
-        Where the streaming JSONL fleet log lives.  Defaults to a sibling of
-        ``checkpoint_path`` (``<checkpoint>.jsonl``) when checkpointing is
-        on; may also be set alone to stream records without checkpoints.
-    fsync_every_n:
-        Fsync the log once per this many appended records instead of per
-        append (default 1, the original per-chunk durability); checkpoints
-        always force a sync first, so resume stays exact.
-    stacked:
-        Execute each chunk in one :class:`~repro.swarm.stacked.StackedSwarmKernel`
-        instead of one solo kernel per swarm.  Every swarm's trajectory —
-        and therefore every record, the fleet fingerprint, and any
-        checkpoint snapshot — is bit-identical to the per-swarm path;
-        only throughput changes.  Requires the ``"array"`` backend and
-        ``num_pieces <= 64`` for every swarm.
-    max_retries / task_timeout / retry_backoff:
-        Worker supervision (see :func:`repro.experiments.runner.map_tasks`):
-        with retries or a deadline configured, the executor respawns dead
-        workers, retries failed chunks with deterministic backoff, and
-        chunks that keep failing are quarantined — one poison swarm
-        degrades to a ``failed`` record instead of taking the run down.
-        Retried swarms reproduce their exact records (per-swarm seeds are
-        independent ``SeedSequence.spawn`` children), so fingerprints are
-        unchanged.
-    rotate_every / compact_after:
-        Log segmentation (see :mod:`repro.fleet.persistence`): rotate the
-        active log file into a numbered closed segment every that many
-        records, and compact closed segments into one census snapshot
-        once that many have accumulated.  Resume stays exact across both.
-    fault_plan:
-        A :class:`~repro.fleet.faults.FaultPlan` of injected failures for
-        chaos testing; ``None`` (the default) costs nothing.
-    """
+    spec_type = FleetSpec
 
-    def __init__(
-        self,
-        spec: FleetSpec,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
-        log_path: Optional[Union[str, Path]] = None,
-        fsync_every_n: int = 1,
-        stacked: bool = False,
-        max_retries: int = 0,
-        task_timeout: Optional[float] = None,
-        retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ):
-        if stacked and spec.backend != "array":
-            raise unsupported_option(
-                "stacked fleet execution", "backend", spec.backend,
-                f"spec {spec.name!r} must use the 'array' backend; run with "
-                f"stacked=False or switch the spec to the array backend",
-            )
-        self.spec = spec
-        self.stacked = stacked
-        self._init_execution(
-            workers,
-            chunk_size,
-            spec.num_swarms,
-            checkpoint_path,
-            checkpoint_every,
-            log_path,
-            fsync_every_n,
-            stacked,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            retry_backoff=retry_backoff,
-            rotate_every=rotate_every,
-            compact_after=compact_after,
-            fault_plan=fault_plan,
-        )
-
-    def _swarm_target(self) -> int:
+    def _round_size(self) -> int:
         return self.spec.num_swarms
 
-    # -- entry points --------------------------------------------------------
+    def _prepare(self, seed: SeedLike, records: List[FleetSwarmRecord]) -> None:
+        self._tasks = materialize_tasks(self.spec, seed)
 
-    def run(
-        self,
-        seed: SeedLike = 0,
-        stop_after_swarms: Optional[int] = None,
-        suspend_after_events: Optional[int] = None,
-    ) -> FleetResult:
-        """Run the fleet from scratch.
-
-        ``stop_after_swarms`` ends the run (with ``complete=False``) once
-        that many swarms have been folded in — the deterministic equivalent
-        of killing the run.  ``suspend_after_events`` additionally suspends
-        the *next* swarm mid-flight after that many events and stores its
-        kernel snapshot in the checkpoint, exercising the mid-swarm resume
-        path; it requires ``stop_after_swarms`` and a ``checkpoint_path``.
-        """
-        if suspend_after_events is not None and stop_after_swarms is None:
-            raise ValueError(
-                "suspend_after_events requires stop_after_swarms (the swarm "
-                "to suspend is the one right after the stop point)"
-            )
-        if stop_after_swarms is not None and self.checkpoint_path is None:
-            raise ValueError(
-                "stopping early without a checkpoint_path would lose the "
-                "completed work; configure a checkpoint"
-            )
-        # Normalized once up front: the checkpoint then stores a pure,
-        # picklable token, so resume re-derives the identical task list even
-        # when the caller passed a (mutable) SeedSequence or Generator.
-        seed = normalize_fleet_seed(seed)
-        tasks = materialize_tasks(self.spec, seed)
-        result = FleetResult(spec_name=self.spec.name, num_swarms=self.spec.num_swarms)
-        writer = self._open_writer(seed)
-        return self._execute(
-            tasks,
-            result,
-            seed,
-            writer,
-            in_flight=None,
-            stop_after_swarms=stop_after_swarms,
-            suspend_after_events=suspend_after_events,
-            fresh=True,
-        )
-
-    def resume(self, checkpoint_path: Optional[Union[str, Path]] = None) -> FleetResult:
-        """Continue a checkpointed run to completion.
-
-        The checkpoint's spec must equal this scheduler's spec; the master
-        seed travels inside the checkpoint and the completed-swarm prefix is
-        replayed from the paired JSONL log (truncated back to the
-        checkpointed offset first).  A mid-swarm snapshot, when present, is
-        restored into a fresh simulator and resumed first.
-        """
-        path = Path(checkpoint_path) if checkpoint_path else self.checkpoint_path
-        if path is None:
-            raise ValueError("no checkpoint_path configured or given")
-        checkpoint = load_checkpoint(path)
-        if checkpoint.spec != self.spec:
-            raise ValueError(
-                "checkpoint spec does not match this scheduler's spec; "
-                "use FleetScheduler.from_checkpoint"
-            )
-        self.checkpoint_path = path
-        self.log_path = checkpoint.log_path(path)
-        log = read_log(self.log_path, max_records=checkpoint.num_records)
-        if len(log.records) < checkpoint.num_records:
-            raise ValueError(
-                f"fleet log {self.log_path} holds {len(log.records)} records "
-                f"but the checkpoint expects {checkpoint.num_records}"
-            )
-        tasks = materialize_tasks(self.spec, checkpoint.seed)
-        result = FleetResult.from_records(
-            self.spec.name, self.spec.num_swarms, list(log.records)
-        )
-        writer = self._open_writer(checkpoint.seed, checkpoint=checkpoint)
-        return self._execute(
-            tasks,
-            result,
-            checkpoint.seed,
-            writer,
-            in_flight=checkpoint.in_flight,
-            stop_after_swarms=None,
-            suspend_after_events=None,
-        )
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        checkpoint_path: Union[str, Path],
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        checkpoint_every: int = 1,
-        fsync_every_n: int = 1,
-        stacked: bool = False,
-        max_retries: int = 0,
-        task_timeout: Optional[float] = None,
-        retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> "FleetScheduler":
-        """Build a scheduler around the spec stored in a checkpoint.
-
-        ``stacked`` (like the supervision and log-layout knobs) is an
-        execution property, not part of the spec: a fleet checkpointed by
-        either path resumes (bit-identically) through the other.
-        """
-        checkpoint = load_checkpoint(checkpoint_path)
-        return cls(
-            checkpoint.spec,
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            fsync_every_n=fsync_every_n,
-            stacked=stacked,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            retry_backoff=retry_backoff,
-            rotate_every=rotate_every,
-            compact_after=compact_after,
-            fault_plan=fault_plan,
-        )
-
-    # -- core ---------------------------------------------------------------
-
-    def _execute(
-        self,
-        tasks: Sequence[SwarmTask],
-        result: FleetResult,
-        seed: SeedLike,
-        writer: Optional[FleetLogWriter],
-        in_flight: Optional[Tuple[int, Dict[str, Any]]],
-        stop_after_swarms: Optional[int],
-        suspend_after_events: Optional[int],
-        fresh: bool = False,
-    ) -> FleetResult:
-        spec = self.spec
-        if self.stacked:
-            for task in tasks:
-                _check_stacked_task(task)
-        run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
-        try:
-            if fresh:
-                # An initial checkpoint pins the (spec, seed) pair on disk
-                # before any work: a crash at any later point can resume.
-                self._write_checkpoint(
-                    result, seed, writer, in_flight=None, fresh=True
-                )
-            if in_flight is not None:
-                index, snapshot = in_flight
-                outcome = _run_swarm_task(spec, tasks[index], snapshot=snapshot)
-                result.add(outcome)
-                self._append(writer, [outcome])
-                self._write_checkpoint(result, seed, writer, in_flight=None)
-            done = len(result.records)
-            target = spec.num_swarms
-            if stop_after_swarms is not None:
-                target = min(target, max(stop_after_swarms, done))
-            to_run = tasks[done:target]
-            chunks = [
-                (spec, to_run[start : start + self.chunk_size], self.fault_plan)
-                for start in range(0, len(to_run), self.chunk_size)
-            ]
-            since_checkpoint = 0
-            for records in self._map_chunks(run_chunk, chunks):
-                for record in records:
-                    result.add(record)
-                self._append(writer, records)
-                since_checkpoint += 1
-                if since_checkpoint >= self.checkpoint_every:
-                    self._write_checkpoint(result, seed, writer, in_flight=None)
-                    since_checkpoint = 0
-            if result.complete:
-                self._write_checkpoint(result, seed, writer, in_flight=None)
-                return result
-            # Early stop: optionally suspend the next swarm mid-flight so the
-            # checkpoint carries a kernel snapshot across the "kill".
-            pending_in_flight = None
-            if (
-                suspend_after_events is not None
-                and len(result.records) < spec.num_swarms
-            ):
-                task = tasks[len(result.records)]
-                outcome = _run_swarm_task(
-                    spec, task, suspend_after_events=suspend_after_events
-                )
-                if isinstance(outcome, FleetSwarmRecord):
-                    # The swarm ended before the suspension point; record it.
-                    result.add(outcome)
-                    self._append(writer, [outcome])
-                else:
-                    pending_in_flight = (task.index, outcome)
-            self._write_checkpoint(result, seed, writer, in_flight=pending_in_flight)
-            return result
-        finally:
-            if writer is not None:
-                writer.close()
+    def _rounds(self, result: FleetResult) -> Iterator[List[SwarmTask]]:
+        yield self._tasks[len(result.records) :]
 
 
 def run_fleet(

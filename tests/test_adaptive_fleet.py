@@ -25,10 +25,14 @@ from repro.fleet import (
     CaptureGrid,
     CellKey,
     FleetResult,
+    FleetScheduler,
+    FleetSpec,
+    RandomSampler,
     ScenarioWeight,
     load_checkpoint,
     resume_adaptive_fleet,
     run_adaptive_fleet,
+    run_fleet,
 )
 from repro.fleet.adaptive import _allocate, _replay_state
 
@@ -52,6 +56,25 @@ def tiny_spec(**overrides) -> AdaptiveFleetSpec:
     )
     defaults.update(overrides)
     return AdaptiveFleetSpec(**defaults)
+
+
+def fixed_spec(**overrides) -> FleetSpec:
+    defaults = dict(
+        name="fixed",
+        num_swarms=4,
+        sampler=RandomSampler.of({"arrival_rate": (0.8, 2.0)}, num_pieces=5),
+        horizon=4.0,
+        max_events=100,
+    )
+    defaults.update(overrides)
+    return FleetSpec(**defaults)
+
+
+#: Per driver: (spec factory, run entry point, driver class).
+DRIVERS = {
+    "fixed": (fixed_spec, run_fleet, FleetScheduler),
+    "adaptive": (tiny_spec, run_adaptive_fleet, AdaptiveFleetDriver),
+}
 
 
 class TestSpec:
@@ -227,25 +250,121 @@ class TestResume:
         resumed = resume_adaptive_fleet(path, workers=1)
         assert resumed.fingerprint() == uninterrupted.fingerprint()
 
-    def test_driver_from_checkpoint_rejects_fixed_fleet(self, tmp_path):
-        from repro.fleet import RandomSampler, run_fleet
-        from repro.fleet.spec import FleetSpec
+    @pytest.mark.parametrize(
+        "written, resumed, match",
+        [
+            ("fixed", "adaptive", "adaptive"),
+            (
+                "adaptive",
+                "fixed",
+                "spec type AdaptiveFleetSpec, which FleetScheduler cannot run",
+            ),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_resume_rejects_the_other_fleet_type(
+        self, tmp_path, written, resumed, match
+    ):
+        """Each driver refuses the other's checkpoint with a ValueError."""
+        make_spec, run, _ = DRIVERS[written]
+        path = tmp_path / "fleet.ckpt"
+        run(make_spec(), seed=0, workers=1, checkpoint_path=path, stop_after_swarms=2)
+        with pytest.raises(ValueError, match=match):
+            DRIVERS[resumed][2].from_checkpoint(path)
 
-        spec = FleetSpec(
-            name="fixed",
-            num_swarms=4,
-            sampler=RandomSampler.of({"arrival_rate": (0.8, 2.0)}, num_pieces=5),
-            horizon=4.0,
-            max_events=100,
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(stop_after_swarms=2), "checkpoint"),
+            (dict(suspend_after_events=10), "requires stop_after_swarms"),
+        ],
+        ids=["stop", "suspend"],
+    )
+    @pytest.mark.parametrize("driver", ["fixed", "adaptive"])
+    def test_stop_requires_checkpoint_path(self, driver, kwargs, match):
+        make_spec, run, _ = DRIVERS[driver]
+        with pytest.raises(ValueError, match=match):
+            run(make_spec(), seed=0, **kwargs)
+
+
+@pytest.fixture
+def persistence_trace(monkeypatch):
+    """Record every log append (``A<records>``) and checkpoint write
+    (``C<records>``, ``*`` when it carries an in-flight snapshot), in order."""
+    from repro.fleet import scheduler
+    from repro.fleet.persistence import FleetLogWriter
+
+    trace = []
+    append, save = FleetLogWriter.append, scheduler.save_checkpoint
+
+    def traced_append(writer, records):
+        trace.append(f"A{len(records)}")
+        return append(writer, records)
+
+    def traced_save(path, checkpoint, **kwargs):
+        flag = "*" if checkpoint.in_flight is not None else ""
+        trace.append(f"C{checkpoint.num_records}{flag}")
+        return save(path, checkpoint, **kwargs)
+
+    monkeypatch.setattr(FleetLogWriter, "append", traced_append)
+    monkeypatch.setattr(scheduler, "save_checkpoint", traced_save)
+    return trace
+
+
+class TestPersistenceSequence:
+    """Both drivers' log appends and checkpoint writes, in order, across a
+    mid-round kill with a mid-swarm snapshot and its resume.  Fault plans
+    key on checkpoint-write ordinals, so this sequence is part of the
+    contract."""
+
+    @pytest.mark.parametrize(
+        "driver, spec_overrides, stop, expected_run, expected_resume",
+        [
+            (
+                "fixed",
+                dict(num_swarms=6, initial_club_size=10, max_events=200),
+                3,
+                "C0 A2 C2 A1 C3 C3*",
+                "A1 C4 A2 C6 C6",
+            ),
+            (
+                "adaptive",
+                dict(swarm_budget=12, round_size=6),
+                8,
+                "C0 A2 C2 A2 C4 A2 C6 C6 A2 C8 C8*",
+                "A1 C9 A2 C11 A1 C12 C12 C12",
+            ),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_kill_and_resume_sequence(
+        self,
+        tmp_path,
+        persistence_trace,
+        driver,
+        spec_overrides,
+        stop,
+        expected_run,
+        expected_resume,
+    ):
+        make_spec, run, driver_class = DRIVERS[driver]
+        path = tmp_path / "fleet.ckpt"
+        run(
+            make_spec(**spec_overrides),
+            seed=3,
+            workers=1,
+            chunk_size=2,
+            checkpoint_path=path,
+            checkpoint_every=1,
+            stop_after_swarms=stop,
+            suspend_after_events=5,
         )
-        path = tmp_path / "fixed.ckpt"
-        run_fleet(spec, seed=0, workers=1, checkpoint_path=path, stop_after_swarms=2)
-        with pytest.raises(ValueError, match="adaptive"):
-            AdaptiveFleetDriver.from_checkpoint(path)
-
-    def test_stop_requires_checkpoint_path(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_adaptive_fleet(tiny_spec(), seed=0, stop_after_swarms=2)
+        assert " ".join(persistence_trace) == expected_run
+        persistence_trace.clear()
+        driver_class.from_checkpoint(
+            path, workers=1, chunk_size=2, checkpoint_every=1
+        ).resume()
+        assert " ".join(persistence_trace) == expected_resume
 
 
 class TestAcceptanceVsUniformGrid:

@@ -205,10 +205,6 @@ class TestFleetExecution:
 
 
 class TestCheckpointResume:
-    def test_stop_requires_checkpoint_path(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_fleet(small_spec(), seed=0, stop_after_swarms=2)
-
     def test_mid_swarm_suspension_lands_in_checkpoint(self, tmp_path):
         spec = small_spec(num_swarms=8)
         path = tmp_path / "fleet.ckpt"
