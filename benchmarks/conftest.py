@@ -297,6 +297,7 @@ def _measure_throughput(spec: dict, backend: str, scenario=None) -> dict:
         measurement["batch_stage"] = {
             "probes_run": simulator.probes_run,
             "probes_skipped": simulator.probes_skipped,
+            "probes_escalated": simulator.probes_escalated,
             "events_batched": simulator.events_batched,
         }
     return measurement

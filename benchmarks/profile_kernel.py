@@ -35,11 +35,14 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_kernel.py --block-size 1   # scalar draws
     PYTHONPATH=src python benchmarks/profile_kernel.py --stacked        # fleet mega-kernel
     PYTHONPATH=src python benchmarks/profile_kernel.py --stacked --skip-cprofile  # CI smoke
+    PYTHONPATH=src python benchmarks/profile_kernel.py --skip-cprofile  # CI smoke
+    PYTHONPATH=src python benchmarks/profile_kernel.py --topology --skip-cprofile  # CI smoke
 
 With ``--topology`` the phase table gains overlay rows — arrival wiring,
 churn rewiring and the per-contact neighbor draw — so overlay overhead is
 attributable next to the draw/apply/census split.  On the array backend
-the table is followed by the kernel's deterministic counters: probes run,
+the table is followed by the kernel's deterministic counters: probes run
+(and how many escalated past the scalar walk to the array classification),
 entries skipped by the yield gate, events batched, and rate-cache refreshes.  ``--stable`` runs
 the stable-regime workload (``STABLE_BENCH_WORKLOAD``, started empty), where
 real transfers dominate and the yield gate keeps failed probes cheap.
@@ -195,7 +198,8 @@ def run_phase_table(args) -> None:
     if args.backend == "array":
         # The kernel's own deterministic counters (no timers involved).
         print(
-            f"batch stage: {simulator.probes_run:,} probes run, "
+            f"batch stage: {simulator.probes_run:,} probes run "
+            f"({simulator.probes_escalated:,} escalated past the scalar walk), "
             f"{simulator.probes_skipped:,} entries skipped by the yield gate, "
             f"{simulator.events_batched:,} events batched "
             f"({simulator.events_batched / max(events, 1):.1%} of events); "

@@ -43,14 +43,15 @@ sped-up entry must go through ``_add_peer`` / ``_remove_peer`` /
 that completes nobody (the stable regime's dominant event) keeps the cache
 clean and draws its ticker and target rows inline.
 
-On top of the scalar handlers the kernel adds a **vectorized batch stage**
+On top of the scalar handlers the kernel adds a **batch stage**
 (:meth:`_batch_stage`): runs of state-neutral events — wasted peer ticks,
 the dominant event of a captured swarm — are classified against the pending
-draw block with numpy array ops and applied wholesale, consuming exactly the
-draws the scalar loop would, so the batching is invisible in the trajectory
-(enforced at ``DRAW_BLOCK_SIZE=1`` vs. default in CI).  A yield gate backs
-the stage off after unproductive probes, so transfer-heavy (stable-regime)
-swarms do not pay a failed numpy probe before nearly every scalar event.
+draw block and applied wholesale, consuming exactly the draws the scalar
+loop would, so the batching is invisible in the trajectory (enforced at
+``DRAW_BLOCK_SIZE=1`` vs. default in CI).  Short runs are classified by a
+scalar walk, long ones with numpy array ops.  A yield gate backs the stage
+off after unproductive probes, so transfer-heavy (stable-regime) swarms do
+not pay a failed probe before nearly every scalar event.
 
 The contract extends to declarative scenarios
 (:class:`~repro.core.scenario.ScenarioSpec`): rate schedules thin in the
@@ -82,11 +83,12 @@ from ..core.types import PieceSet
 from ..simulation.rng import SeedLike, make_rng
 from .groups import GroupSnapshot
 from .policies import PieceSelectionPolicy, RandomUsefulSelection, SwarmView
-from .swarm import _SwarmEventLoop
+from .swarm import _SwarmEventLoop, _pick_from_segments
 
 _MAX_ARRAY_PIECES = 64
 
-#: Events the batch stage's first classification probe looks at.
+#: Candidates the batch stage's scalar walk looks at before it escalates to
+#: the array classification of the whole pending block.
 _PROBE_WINDOW = 16
 #: A probe that batches fewer events than this counts as unproductive and
 #: backs the yield gate off (see :meth:`ArraySwarmKernel._batch_stage`).
@@ -800,10 +802,13 @@ class ArraySwarmKernel(_SwarmEventLoop):
         # next candidate, while the clock has not moved, is that breaker.
         self._breaker_time = math.nan
         #: Probes run, batch-stage entries that skipped their probe (gate
-        #: back-off or a known breaker), and events applied by the batch
-        #: stage (wasted ticks and thinned candidates).
+        #: back-off or a known breaker), probes whose scalar walk filled
+        #: ``_PROBE_WINDOW`` and escalated to the array classification, and
+        #: events applied by the batch stage (wasted ticks and thinned
+        #: candidates).
         self.probes_run = 0
         self.probes_skipped = 0
+        self.probes_escalated = 0
         self.events_batched = 0
 
     def _batch_hetero_tickers(self, uniforms: np.ndarray) -> Optional[np.ndarray]:
@@ -893,22 +898,36 @@ class ArraySwarmKernel(_SwarmEventLoop):
         next_sample: float,
         limit: Optional[int],
     ) -> Tuple[int, float]:
-        """Consume a run of wasted peer ticks with vectorized classification.
+        """Consume a run of wasted peer ticks: a scalar walk, then numpy.
 
         A wasted peer tick — the dominant event in a captured (one-club)
         swarm — consumes exactly four buffered draws (inter-event
         exponential, event-type selection, ticking peer, contact target) and
         mutates nothing but the clock and ``metrics.wasted_contacts``, so
         the event rates provably stay constant across any run of them.  The
-        stage speculatively classifies the pending draw block in groups of
-        four with array ops (event type, ticker/target rows, usefulness of
-        the contact via the mask census) and applies the maximal
-        state-neutral prefix; the first event that transfers a piece,
-        arrives, departs, ticks the fixed seed, or crosses the horizon is
-        left — draws untouched — for the scalar path.  Each batched event
-        consumes the same draws with the same semantics as the scalar loop,
-        so trajectories are bit-identical (enforced by the equivalence and
-        checkpoint property tests at ``DRAW_BLOCK_SIZE=1`` vs. default).
+        stage classifies the pending draw block in groups of four (event
+        type, ticker/target rows, usefulness of the contact via the mask
+        census) and applies the maximal state-neutral prefix; the first
+        event that transfers a piece, arrives, departs, ticks the fixed
+        seed, or crosses the horizon is left — draws untouched — for the
+        scalar path.  Each batched event consumes the same draws with the
+        same semantics as the scalar loop, so trajectories are
+        bit-identical (enforced by the equivalence and checkpoint property
+        tests at ``DRAW_BLOCK_SIZE=1`` vs. default).
+
+        **Walk, then escalate.**  The classification starts as a plain
+        Python walk over at most ``_PROBE_WINDOW`` candidates, reusing the
+        scalar dispatch's arithmetic: the selector band, the ticker row
+        (flat truncate-and-clamp, or the classed pick
+        :func:`~repro.swarm.swarm._pick_from_segments`), the target
+        (uniform, or :meth:`~repro.swarm.topology.OverlayState.draw_target`
+        under an overlay) and usefulness via ``masks.item``.  In small
+        swarms and transfer-heavy phases runs of wasted ticks are short, so
+        most walks stop inside the window and their run is applied without
+        any array setup.  Only a walk that fills the window escalates to
+        :meth:`_leading_wasted`, the same classification with array ops
+        over the whole pending block, which is what keeps the long runs of
+        a large captured swarm cheap.
 
         A second state-neutral family — thinning-*rejected* arrival and
         fixed-seed-tick candidates under a scheduled (non-constant) rate,
@@ -916,18 +935,20 @@ class ArraySwarmKernel(_SwarmEventLoop):
         so scenario workloads batch past the first thinned candidate too.
 
         **Yield gate.**  In the stable regime most contacts move a piece, so
-        the probe nearly always fails and its numpy setup would cost more
-        than the scalar events it precedes.  A probe that batches fewer
-        than ``_PROBE_MIN_YIELD`` events therefore backs the stage off: the
-        next 1, 2, 4, … up to ``_PROBE_MAX_BACKOFF`` entries return at once,
-        and the first productive probe re-engages it.  The entry right after
-        a productive batch skips its probe too when its candidate is the
-        peer tick that stopped the batch (a known transfer), so a captured
-        swarm does not back off at the end of every run of wasted ticks.
-        A skipped entry only hands the pending events to the scalar loop,
-        which consumes the very same draws, so the gate never changes a
-        trajectory — it is fixed scheduling, with no knob, and stays out of
-        snapshots.  ``probes_run`` / ``probes_skipped`` / ``events_batched``
+        the walk nearly always stops at its first candidate.  Even that
+        costs a call and block reads per entry on top of the scalar event
+        it precedes, so the gate stays in front of the walk: a probe that
+        batches fewer than ``_PROBE_MIN_YIELD`` events backs the stage off —
+        the next 1, 2, 4, … up to ``_PROBE_MAX_BACKOFF`` entries return at
+        once — and the first productive probe re-engages it.  The entry
+        right after a productive batch skips its probe too when its
+        candidate is the peer tick that stopped the batch (a known
+        transfer), so a captured swarm does not back off at the end of
+        every run of wasted ticks.  A skipped entry only hands the pending
+        events to the scalar loop, which consumes the very same draws, so
+        the gate never changes a trajectory — it is fixed scheduling, with
+        no knob, and stays out of snapshots.  ``probes_run`` /
+        ``probes_skipped`` / ``probes_escalated`` / ``events_batched``
         count what the stage did.
         """
         n = self._n
@@ -938,24 +959,21 @@ class ArraySwarmKernel(_SwarmEventLoop):
             self.probes_skipped += 1
             return 0, next_sample
         draws = self.draws
-        if draws.remaining() < 2:
+        pos = draws._pos
+        remaining = draws._len - pos
+        if remaining < 2:
             return 0, next_sample
-        rates = self._rates
+        uniforms = draws._uniforms
         total = self._rate_total
         r01 = self._rate_r01
         r012 = self._rate_r012
-        # Scalar pre-check of the first candidate, so event streams that are
-        # not batchable skip the vector classification entirely.
-        first_sel = float(draws.uniforms_view(2)[1]) * total
-        if first_sel > r01 and first_sel <= r012:
-            if self._breaker_time == self._time:
-                # The last batch stopped at this very peer tick, so it moves
-                # a piece and a probe would find nothing.
-                self.probes_skipped += 1
-                return 0, next_sample
-        else:
-            if (first_sel <= rates[0] and self._thin_arrivals) or (
-                rates[0] < first_sel <= r01 and self._thin_seed
+        # The walk's first step, candidate 0's event type, also routes the
+        # entry: anything but a peer tick leaves before a probe is counted.
+        selector = uniforms.item(pos + 1) * total
+        if not r01 < selector <= r012:
+            r0 = self._rates[0]
+            if (selector <= r0 and self._thin_arrivals) or (
+                r0 < selector <= r01 and self._thin_seed
             ):
                 applied, next_sample = self._batch_thinned(
                     horizon, interval, next_sample, limit
@@ -963,59 +981,51 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 self.events_batched += applied
                 return applied, next_sample
             return 0, next_sample
-        candidates = draws.remaining() >> 2
+        if self._breaker_time == self._time:
+            # The last batch stopped at this very peer tick, so it moves a
+            # piece and a probe would find nothing.
+            self.probes_skipped += 1
+            return 0, next_sample
+        candidates = remaining >> 2
         if limit is not None and candidates > limit:
             candidates = limit
         if candidates <= 0:
             return 0, next_sample
-        uniforms = draws.uniforms_view(4 * candidates)
-        hetero = self._classes is not None
+        self.probes_run += 1
+        window = _PROBE_WINDOW if candidates > _PROBE_WINDOW else candidates
         masks = self._masks
         overlay = self._overlay
-
-        def leading_ok(window: int) -> int:
-            chunk = uniforms[: 4 * window]
-            selector = chunk[1::4] * total
-            is_peer_tick = (selector > r01) & (selector <= r012)
-            if hetero:
-                ticker = self._batch_hetero_tickers(chunk[2::4])
-                if ticker is None:
-                    return 0
+        segments = self._ticker_segments() if self._classes is not None else None
+        count = 0
+        while True:
+            if segments is None:
+                ticker = int(uniforms.item(pos + 2) * n)
+                if ticker >= n:
+                    ticker = n - 1
             else:
-                ticker = (chunk[2::4] * n).astype(np.int64)
-                np.minimum(ticker, n - 1, out=ticker)
-            if overlay is not None:
-                # Adjacency gather: the target draw maps onto the ticker's
-                # neighbor row with the scalar truncate-and-clamp.  A
-                # zero-degree ticker wastes its tick regardless of the
-                # (clamped, garbage) gather, so the `zero` mask gates it.
-                degree = overlay.deg[ticker]
-                index = (chunk[3::4] * degree).astype(np.int64)
-                np.minimum(index, degree - 1, out=index)
-                np.maximum(index, 0, out=index)
-                target = overlay.adj[ticker, index]
-                useless = (masks[ticker] & ~masks[target]) == 0
-                ok = is_peer_tick & ((degree == 0) | useless)
+                ticker = _pick_from_segments(segments, uniforms.item(pos + 2))
+            if overlay is None:
+                target = int(uniforms.item(pos + 3) * n)
+                if target >= n:
+                    target = n - 1
             else:
-                target = (chunk[3::4] * n).astype(np.int64)
-                np.minimum(target, n - 1, out=target)
-                useless = (masks[ticker] & ~masks[target]) == 0
-                ok = is_peer_tick & ((ticker == target) | useless)
-            bad = np.flatnonzero(~ok)
-            return int(bad[0]) if bad.size else window
-
-        # Two-tier classification behind the yield gate: probe a small window
-        # first, so phases dominated by transfers / arrivals (where runs of
-        # wasted ticks are short) never pay a full-block classification to
-        # apply a handful of events; only a fully-clean probe escalates to
-        # the whole block.  An unproductive probe doubles the gate's
-        # back-off (the following entries are skipped before any numpy
-        # work); a productive one re-engages the gate.
-        self.probes_run += 1
-        probe = _PROBE_WINDOW if candidates > _PROBE_WINDOW else candidates
-        count = leading_ok(probe)
-        if count == probe and candidates > probe:
-            count = leading_ok(candidates)
+                # A zero-degree ticker (-1) wastes its tick.
+                target = overlay.draw_target(ticker, uniforms.item(pos + 3))
+            if target >= 0 and masks.item(ticker) & ~masks.item(target):
+                break  # a useful contact
+            count += 1
+            if count == window:
+                break
+            pos += 4
+            selector = uniforms.item(pos + 1) * total
+            if not r01 < selector <= r012:
+                break
+        if count == window and candidates > window:
+            self.probes_escalated += 1
+            count = self._leading_wasted(candidates)
+        # An unproductive probe doubles the gate's back-off (the following
+        # entries are skipped before any classification); a productive one
+        # re-engages the gate.
         if count < _PROBE_MIN_YIELD:
             backoff = 2 * self._probe_backoff or 1
             if backoff > _PROBE_MAX_BACKOFF:
@@ -1055,6 +1065,44 @@ class ArraySwarmKernel(_SwarmEventLoop):
             draws.advance(4 * applied)
             self.events_batched += applied
         return applied, next_sample
+
+    def _leading_wasted(self, candidates: int) -> int:
+        """The number of leading wasted peer ticks among the next
+        ``candidates`` four-draw groups of the pending block: the batch
+        stage's walk, with array ops over the whole block."""
+        n = self._n
+        total = self._rate_total
+        chunk = self.draws.uniforms_view(4 * candidates)
+        masks = self._masks
+        overlay = self._overlay
+        selector = chunk[1::4] * total
+        is_peer_tick = (selector > self._rate_r01) & (selector <= self._rate_r012)
+        if self._classes is not None:
+            ticker = self._batch_hetero_tickers(chunk[2::4])
+            if ticker is None:
+                return 0
+        else:
+            ticker = (chunk[2::4] * n).astype(np.int64)
+            np.minimum(ticker, n - 1, out=ticker)
+        if overlay is not None:
+            # Adjacency gather: the target draw maps onto the ticker's
+            # neighbor row with the scalar truncate-and-clamp.  A
+            # zero-degree ticker wastes its tick regardless of the
+            # (clamped, garbage) gather, so the `zero` mask gates it.
+            degree = overlay.deg[ticker]
+            index = (chunk[3::4] * degree).astype(np.int64)
+            np.minimum(index, degree - 1, out=index)
+            np.maximum(index, 0, out=index)
+            target = overlay.adj[ticker, index]
+            useless = (masks[ticker] & ~masks[target]) == 0
+            ok = is_peer_tick & ((degree == 0) | useless)
+        else:
+            target = (chunk[3::4] * n).astype(np.int64)
+            np.minimum(target, n - 1, out=target)
+            useless = (masks[ticker] & ~masks[target]) == 0
+            ok = is_peer_tick & ((ticker == target) | useless)
+        bad = np.flatnonzero(~ok)
+        return int(bad[0]) if bad.size else candidates
 
     def _batch_thinned(
         self,

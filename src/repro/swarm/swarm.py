@@ -93,6 +93,35 @@ class SwarmResult:
     events_executed: int = 0
 
 
+def _pick_from_segments(segments: List[Tuple[float, List[int]]], u: float) -> int:
+    """The handle that one uniform ``u`` picks over concatenated (unit
+    weight, handles) segments.
+
+    The threshold ``total * u`` is the same double as
+    ``DrawBuffer.uniform(0.0, total)``; the in-segment index is a
+    truncate-and-clamp.  ``total`` and the segment bounds are plain
+    left-to-right sums, the same doubles as the array kernel's ``cumsum``
+    tables (``sum()`` compensates float sums on Python ≥ 3.12).  Both
+    backends' scalar heterogeneous picks and the array kernel's
+    batch-stage walk call this one function.
+    """
+    total = 0.0
+    for unit, handles in segments:
+        total += unit * len(handles)
+    threshold = total * u
+    acc = 0.0
+    for unit, handles in segments[:-1]:
+        width = unit * len(handles)
+        if threshold < acc + width:
+            break
+        acc += width
+    else:
+        unit, handles = segments[-1]
+    index = int((threshold - acc) / unit)
+    size = len(handles)
+    return handles[index if index < size else size - 1]
+
+
 class _SwarmEventLoop:
     """Shared event-loop driver of the two trajectory-equivalent backends.
 
@@ -388,6 +417,12 @@ class _SwarmEventLoop:
         sped-up member); the handle is read out of the per-class lists by
         index arithmetic, with no per-event weight-array rebuild.
         """
+        return _pick_from_segments(self._ticker_segments(), self.draws.next())
+
+    def _ticker_segments(self) -> List[Tuple[float, List[int]]]:
+        """The (unit weight, handles) segments of the heterogeneous ticker
+        pick: one per non-empty class, then one per class with sped-up
+        members when ``retry_speedup > 1``."""
         extra = self.retry_speedup - 1.0
         segments: List[Tuple[float, List[int]]] = []
         for cls, members in zip(self._classes, self._class_members):
@@ -397,7 +432,7 @@ class _SwarmEventLoop:
             for cls, sped in zip(self._classes, self._class_sped):
                 if sped:
                     segments.append((extra * cls.contact_rate, sped))
-        return self._pick_from_segments(segments)
+        return segments
 
     def _draw_hetero_departing_seed(self) -> Optional[int]:
         """Backend-native handle of the departing peer seed (γ_c-weighted)."""
@@ -408,22 +443,7 @@ class _SwarmEventLoop:
         ]
         if not segments:
             return None
-        return self._pick_from_segments(segments)
-
-    def _pick_from_segments(self, segments: List[Tuple[float, List[int]]]) -> int:
-        """One uniform draw over concatenated (unit weight, handles) segments."""
-        total = sum(unit * len(handles) for unit, handles in segments)
-        threshold = self.draws.uniform(0.0, total)
-        acc = 0.0
-        for unit, handles in segments[:-1]:
-            width = unit * len(handles)
-            if threshold < acc + width:
-                index = min(int((threshold - acc) / unit), len(handles) - 1)
-                return handles[index]
-            acc += width
-        unit, handles = segments[-1]
-        index = min(int((threshold - acc) / unit), len(handles) - 1)
-        return handles[index]
+        return _pick_from_segments(segments, self.draws.next())
 
     def _hetero_tick_rate(self) -> float:
         """Σ_c µ_c (n_c + (retry_speedup − 1) sped_c) over the peer classes."""
