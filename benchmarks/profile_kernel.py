@@ -19,9 +19,10 @@ reference ``BENCH_WORKLOAD`` (or the scenario variant) twice:
 With ``--stacked`` the script profiles the *fleet* workload
 (``FLEET_BENCH_WORKLOAD``) through one ``StackedSwarmKernel`` instead of a
 solo kernel — the phase table then splits the stacked round loop into its
-three steps (per-lane advance, window classification, window apply) and
-lists the work they nest — scalar dispatch, thinned batches, block refills,
-sampling, the heterogeneous ticker walk — below them.  ``--events`` caps
+three steps (per-lane advance through the lane's solo loop, window
+classification, window apply) and lists the work they nest — the solo batch
+stage, scalar dispatch, thinned batches, block refills, sampling, the
+heterogeneous ticker walk — below them.  ``--events`` caps
 every lane and ``--block-size`` sets every lane's draw block; the workload
 flags and ``--backend object`` do not apply to the fleet workload.
 
@@ -268,6 +269,10 @@ def run_stacked_phase_table(args) -> None:
         (StackedSwarmKernel, "_apply_windows", "round · apply windows"),
     ]
     nested = [
+        # Lanes run their solo loop inside ``_advance``: this row is the
+        # solo batch stage behind each lane's window filing (thinned and
+        # overlay batches, breaker skips), with thinned batches nested in it.
+        (ArraySwarmKernel, "_batch_stage", "solo batch stage"),
         (_SwarmEventLoop, "_apply_event", "scalar dispatch"),
         (ArraySwarmKernel, "_batch_thinned", "thinned batch"),
         (DrawBuffer, "_refill", "draw (block refill)"),
@@ -295,8 +300,6 @@ def run_stacked_phase_table(args) -> None:
         accounted += seconds
         row(phase, f"{calls:,}", seconds)
     row("residual (round bookkeeping)", "—", max(wall - accounted, 0.0))
-    if not totals["round · advance"][0]:
-        print("(draw blocks too small to stack: every lane ran its solo loop)")
     print("nested in the round steps:")
     for _owner, _name, phase in nested:
         calls, seconds = totals[phase]

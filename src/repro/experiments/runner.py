@@ -362,9 +362,11 @@ def map_tasks(
 
     ``workers in (None, 0, 1)`` runs in-process; larger values use a
     supervised ``ProcessPoolExecutor`` of ``min(workers, len(tasks))``
-    processes.  Results are yielded strictly in task order either way, and
-    a task's error is raised in its position with its original type, so
-    callers' outcomes never depend on the worker count.  A worker process
+    processes, except that a single task without a ``task_timeout`` runs
+    in-process too (a pool of one would only add its start-up).  Results
+    are yielded strictly in task order either way, and a task's error is
+    raised in its position with its original type, so callers' outcomes
+    never depend on the worker count.  A worker process
     that dies mid-task surfaces as :class:`WorkerCrashError` instead of a
     hang.  The pool is torn down when the generator is exhausted *or*
     closed early (a consumer that stops iterating — e.g. the fleet
@@ -399,7 +401,9 @@ def map_tasks(
             f"on_exhausted must be 'raise' or 'yield', got {on_exhausted!r}"
         )
     workers = workers or 0
-    if workers > 1 and len(tasks) > 1:
+    # A lone task needs the pool only to enforce its deadline.
+    min_pool_tasks = 1 if task_timeout is not None else 2
+    if workers > 1 and len(tasks) >= min_pool_tasks:
         yield from _run_supervised_pool(
             function,
             tasks,

@@ -798,8 +798,9 @@ class ArraySwarmKernel(_SwarmEventLoop):
         """
         self._probe_skip = 0  # batch-stage entries still to skip
         self._probe_backoff = 0  # length of the current back-off
-        # Clock of the last productive batch that stopped at a breaker: the
-        # next candidate, while the clock has not moved, is that breaker.
+        # Clock of the last productive batch (or stacked window) that
+        # stopped at a breaker: the next candidate, while the clock has not
+        # moved, is that breaker.
         self._breaker_time = math.nan
         #: Probes run, batch-stage entries that skipped their probe (gate
         #: back-off or a known breaker), probes whose scalar walk filled

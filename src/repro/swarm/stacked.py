@@ -15,16 +15,15 @@ Determinism contract
 --------------------
 Each lane is a full :class:`~repro.swarm.kernel.ArraySwarmKernel` with its
 own :class:`~repro.swarm.drawbuf.DrawBuffer` (seeded exactly as a solo run
-would be), and the stacked driver consumes each lane's buffer with the same
-per-decision semantics — batched wasted ticks eat four draws, thinned
-candidates three, scalar events go through the lane's own
-``_apply_event`` — in the same per-lane order as the solo loop.  Block
-refills happen at fixed 4096-draw boundaries of the *per-lane* stream
-regardless of how draws are grouped, so every lane's trajectory (metrics,
-samples, snapshots) is **bit-identical to a solo run on the same seed**;
-``tests/test_stacked.py`` asserts this per lane and at fleet scale.
-Interleaving lanes is free because swarms are independent: no draw of one
-lane can influence another.
+would be), driven by its own solo event loop; the stack only takes over the
+lane's runs of wasted peer ticks, consuming four draws per batched tick
+exactly like the solo batch stage.  Block refills happen at fixed
+4096-draw boundaries of the *per-lane* stream regardless of how draws are
+grouped, so every lane's trajectory (metrics, samples, snapshots) is
+**bit-identical to a solo run on the same seed**; ``tests/test_stacked.py``
+asserts this per lane, at the default block size and at
+``DRAW_BLOCK_SIZE=1``, and at fleet scale.  Interleaving lanes is free
+because swarms are independent: no draw of one lane can influence another.
 
 Structure
 ---------
@@ -34,20 +33,23 @@ Structure
   small gather per swarm.  Lane growth re-homes the lane at the sheet's
   tail (the old segment is abandoned — growth is rare and the sheet is
   transient).
-* A round has three steps.  :meth:`StackedSwarmKernel._advance` runs each
-  active lane's solo loop top (caps, rate cache, thinned and overlay
-  batches, cull, horizon) and applies every scalar event in place through
-  the lane's own ``_apply_event``, until the lane's next candidate is a
-  batchable wasted tick — the lane is then filed into the round's windows
-  — or its run ends.  :meth:`~StackedSwarmKernel._classify_windows`
-  resolves every filed window with one set of numpy ops, and
+* A round has three steps.  :meth:`StackedSwarmKernel._advance` re-enters
+  a lane's solo loop (``_SwarmEventLoop._loop``): caps, rate cache, cull,
+  horizon, block refills, thinned batches, overlay batches and every
+  scalar event are the solo code.  The lane's ``_batch_stage`` override
+  stops that loop when its next candidate is a peer tick and files the
+  lane's window into the round instead.
+  :meth:`~StackedSwarmKernel._classify_windows` resolves every filed
+  window with one set of numpy ops, and
   :meth:`~StackedSwarmKernel._apply_windows` applies each lane's
-  wasted-tick prefix and then the candidate that broke it, again through
-  ``_apply_event``.
+  wasted-tick prefix.  A prefix shorter than its window marks the
+  candidate after it as the lane's breaker, which the lane's solo loop
+  then applies — or closes the run at the horizon — in the next round.
 * Runs start, suspend and close through the solo driver's own
   ``_begin_run`` / ``_result``, so a finished lane's
   :class:`~repro.swarm.swarm.SwarmResult` is exactly what the solo loop
-  would have returned.
+  would have returned.  Outside ``run_all`` a lane is an ordinary kernel:
+  ``stack.lane(i).run(horizon, resume=True)`` continues it solo.
 * Snapshots stay per-swarm: ``lane.capture_state()`` emits the ordinary
   format-2 payload (backend ``"array"``), and ``add_lane(snapshot=...)``
   restores one, so fleet checkpoint/resume interoperates freely with the
@@ -56,7 +58,7 @@ Structure
 Limits: lanes inherit the array kernel's ``K <= 64`` bitmask bound, and
 custom piece-selection policies are only batched under the same conditions
 as the solo batch stage (``rng_free_when_useless`` and no retry speedup);
-other lanes simply take the scalar route every round.
+other lanes never file a window and run their solo loop to the end.
 """
 
 from __future__ import annotations
@@ -85,23 +87,19 @@ _BIG = np.int64(1) << np.int64(40)
 #: the round's widest window).  Scalar events are drained inside each
 #: lane's advance, so rounds are window-paced and a high ceiling amortises
 #: the per-round numpy glue better (swept 16..64 x 512..2048 on the
-#: 200-swarm fleet workload).
+#: 200-swarm fleet workload).  Bigger draw blocks for lanes lose: capped
+#: fleet lanes read a couple thousand draws, the rest is wasted refill.
 _MIN_WINDOW = 16
 _MAX_WINDOW = 1024
-
-#: Below this block size per-lane windows cannot amortise anything (CI pins
-#: ``DRAW_BLOCK_SIZE=1``); lanes are simply driven by their own solo loop.
-#: (The stream is block-size invariant by construction, so a *bigger*
-#: stacked block was tried too: it loses — event-capped fleet lanes only
-#: consume a couple thousand draws, so wider blocks just generate and
-#: exp-transform uniforms nobody reads.)
-_MIN_STACKED_BLOCK = 8
 
 
 class _StackedLane(ArraySwarmKernel):
     """An array kernel whose mask column lives in the stack's shared sheet."""
 
     _stack: Optional["StackedSwarmKernel"] = None
+    #: Whether the lane files its peer-tick windows with the stack; only
+    #: true while ``run_all`` drives it.
+    _stk_windowable = False
 
     def _grow(self) -> None:
         # The base grow detaches every column (including ``_masks``) into
@@ -110,34 +108,40 @@ class _StackedLane(ArraySwarmKernel):
         if self._stack is not None:
             self._stack._adopt(self)
 
-    def _record_grid_until(self, until: float) -> None:
-        """Record the run's sample-grid points before ``until`` (the solo
-        loop's time-correct walk, with the grid cursor kept on the lane)."""
-        horizon = self._run_horizon
-        interval = self._run_interval
-        next_sample = self._next_sample
-        while next_sample <= horizon and next_sample < until:
-            self._record_sample(next_sample)
-            next_sample += interval
-        self._next_sample = next_sample
+    def _batch_stage(
+        self,
+        horizon: float,
+        interval: float,
+        next_sample: float,
+        limit: Optional[int],
+    ) -> Tuple[int, float]:
+        """File the lane's next window with the stack, or batch solo.
 
-    def _apply_scalar(self, when: float, selector: float) -> None:
-        """The solo loop's scalar step for a peeked candidate: walk the
-        grid to its event time, consume its exponential and selector, and
-        apply it through ``_apply_event``."""
-        self._record_grid_until(when)
-        self._time = when
-        # Inline advance(2): callers guarantee both draws are pending.
-        self.draws._pos += 2
-        self._apply_event(selector)
-        self._events += 1
-
-    def _close_at_horizon(self) -> SwarmResult:
-        """Solo crossing semantics: the candidate's exponential is consumed,
-        the clock stops at the horizon and the run closes."""
-        self.draws._pos += 1
-        self._time = self._run_horizon
-        return self._result(True, False)
+        While ``run_all`` drives the lane, a pending peer tick that is not
+        a known breaker (``_breaker_time``) and fits a window of at least
+        one four-draw group is filed into the round's windows; the negative
+        count then stops the lane's solo loop, draws untouched.  Every
+        other entry — thinned candidates, breakers, blocks too small for a
+        window, lanes outside ``run_all`` — is the solo batch stage.
+        """
+        if self._stk_windowable and self._breaker_time != self._time:
+            draws = self.draws
+            pos = draws._pos
+            width = (draws._len - pos) >> 2
+            if width and (
+                self._rate_r01
+                < draws._uniforms.item(pos + 1) * self._rate_total
+                <= self._rate_r012
+            ):
+                if width > self._stk_window:
+                    width = self._stk_window
+                if limit is not None and width > limit:
+                    width = limit
+                self._stack._windows.append((self, width))
+                return -1, next_sample
+        return ArraySwarmKernel._batch_stage(
+            self, horizon, interval, next_sample, limit
+        )
 
 
 def _clone_lane(template: _StackedLane, seed: SeedLike) -> _StackedLane:
@@ -287,182 +291,65 @@ class StackedSwarmKernel:
         solo snapshot bit for bit.
         """
         lanes = self._lanes
-        for slot, lane in enumerate(lanes):
-            lane._begin_run(
-                horizon,
-                initial_states[slot] if initial_states is not None else None,
-                sample_interval,
-                resume=lane._run_active,
+        if initial_states is not None and len(initial_states) != len(lanes):
+            raise ValueError(
+                f"initial_states has {len(initial_states)} entries for "
+                f"{len(lanes)} lanes"
             )
-            lane._stk_window = _MIN_WINDOW
-            # Overlay lanes cannot join the cross-lane classification: it
-            # draws contact targets uniformly over the mask sheet, but an
-            # overlay target is one uniform over the ticker's *neighbor*
-            # row.  Such lanes batch through their own (adjacency-aware)
-            # solo stage in ``_advance`` instead.
-            lane._stk_windowable = lane._batch_enabled and lane._overlay is None
-
-        # Tiny draw blocks (CI's DRAW_BLOCK_SIZE=1 equivalence mode) leave
-        # nothing to stack; the solo loop is the same trajectory.
-        if lanes and lanes[0].draws.block_size < _MIN_STACKED_BLOCK:
-            return [
-                lane.run(
-                    horizon,
-                    resume=True,
-                    max_events=max_events,
-                    max_population=max_population,
-                    suspend_after_events=suspend_after_events,
-                )
-                for lane in lanes
-            ]
-
-        event_caps = [c for c in (max_events, suspend_after_events) if c is not None]
         self._horizon = horizon
-        self._caps = (
-            suspend_after_events,
-            max_events,
-            max_population,
-            min(event_caps) if event_caps else None,
-        )
+        self._caps = (max_events, max_population, suspend_after_events)
         self._results: List[Optional[SwarmResult]] = [None] * len(lanes)
-        active: List[Tuple[int, _StackedLane]] = list(enumerate(lanes))
-        while active:
-            #: (slot, lane, width) of every lane whose next candidate is a
-            #: batchable wasted tick, filed by ``_advance`` this round.
-            self._windows: List[Tuple[int, _StackedLane, int]] = []
-            for slot, lane in active:
-                self._advance(slot, lane)
-            # Classification reads the mask sheet after every lane has
-            # advanced: arrivals during the advance may have re-homed it.
-            if self._windows:
-                self._apply_windows(*self._classify_windows())
-            results = self._results
-            active = [(slot, lane) for slot, lane in active if results[slot] is None]
+        try:
+            for slot, lane in enumerate(lanes):
+                lane._begin_run(
+                    horizon,
+                    initial_states[slot] if initial_states is not None else None,
+                    sample_interval,
+                    resume=lane._run_active,
+                )
+                lane._stk_window = _MIN_WINDOW
+                # Overlay lanes cannot join the cross-lane classification:
+                # it draws contact targets uniformly over the mask sheet,
+                # but an overlay target is one uniform over the ticker's
+                # *neighbor* row.  Such lanes batch through their own
+                # (adjacency-aware) solo stage instead.
+                lane._stk_windowable = lane._overlay is None
+            active: List[Tuple[int, _StackedLane]] = list(enumerate(lanes))
+            while active:
+                #: (lane, width) of every lane whose next candidate is a
+                #: peer tick, filed by its ``_batch_stage`` this round.
+                self._windows: List[Tuple[_StackedLane, int]] = []
+                for slot, lane in active:
+                    self._advance(slot, lane)
+                # Classification reads the mask sheet after every lane has
+                # advanced: arrivals during the advance may have re-homed it.
+                if self._windows:
+                    self._apply_windows(*self._classify_windows())
+                results = self._results
+                active = [
+                    (slot, lane) for slot, lane in active if results[slot] is None
+                ]
+        finally:
+            for lane in lanes:
+                lane._stk_windowable = False
         return self._results
 
     def _advance(self, slot: int, lane: _StackedLane) -> None:
-        """Drive one lane until it is filed into the round's windows or its
-        run ends.
+        """Run one lane's solo loop until it files a window or its run
+        ends; a lane whose run ends stores its result."""
+        outcome = lane._loop(self._horizon, *self._caps)
+        if outcome is not None:
+            self._results[slot] = lane._result(*outcome)
 
-        This is the solo loop top — caps, the lane's rate cache (rebuilt
-        only when a mutator dirtied it), thinned and overlay batches, the
-        cull and the horizon — in exactly the solo order, with the next
-        exponential and selector *peeked*; any other candidate is applied
-        in place through the lane's own ``_apply_event``.  A lane whose run
-        ends stores its result.
-        """
-        horizon = self._horizon
-        suspend_after, max_events, max_population, event_cap = self._caps
-        results = self._results
-        while True:
-            events = lane._events
-            if suspend_after is not None and events >= suspend_after:
-                results[slot] = lane._result(False, True)
-                return
-            if (max_events is not None and events >= max_events) or (
-                max_population is not None and lane._n >= max_population
-            ):
-                results[slot] = lane._result(False, False)
-                return
-            if lane._rates_dirty:
-                lane._refresh_rates()
-            total = lane._rate_total
-            if total <= 0.0:
-                lane._time = horizon
-                results[slot] = lane._result(True, False)
-                return
-            draws = lane.draws
-            remaining = draws._len - draws._pos
-            if remaining == 0:
-                # Refilling an *empty* buffer is bit-free: blocks sit at
-                # fixed positions of the per-lane stream, so the next
-                # scalar draw would trigger the identical refill.
-                draws._refill()
-                remaining = draws._len
-            if remaining == 1:
-                # The selector sits in the next block: the solo loop takes
-                # this one event (refill mid-event, cull and horizon
-                # included), consuming exactly the draws it always would.
-                result = lane.run(
-                    horizon,
-                    resume=True,
-                    max_events=max_events,
-                    max_population=max_population,
-                    suspend_after_events=events + 1,
-                )
-                if not result.suspended:
-                    results[slot] = result
-                    return
-                continue
-            # Inline peek_uniform(1): this runs once per lane per event.
-            sel = draws._uniforms.item(draws._pos + 1) * total
-            cull_time = lane._cull_time
-            cull_pending = cull_time is not None and not lane._cull_done
-            if not cull_pending:
-                budget = event_cap - events if event_cap is not None else None
-                r0 = lane._rates[0]
-                if lane._batch_enabled and lane._rate_r01 < sel <= lane._rate_r012:
-                    window = min(remaining >> 2, lane._stk_window)
-                    if budget is not None:
-                        window = min(window, budget)
-                    if window > 0:
-                        if lane._stk_windowable:
-                            self._windows.append((slot, lane, window))
-                            return
-                        # Overlay lane: batch through its own solo stage
-                        # (adjacency-aware, draw-invisible).  The stage may
-                        # record grid samples even when it applies nothing
-                        # (a first candidate crossing the horizon): keep its
-                        # grid cursor unconditionally, like the solo loop.
-                        applied, lane._next_sample = lane._batch_stage(
-                            horizon, lane._run_interval, lane._next_sample, budget
-                        )
-                        if applied:
-                            lane._events = events + applied
-                            continue
-                    # remaining < 4 (or nothing batchable): the tick takes
-                    # the scalar path below, exactly like the solo batch
-                    # stage declining.
-                elif (sel <= r0 and lane._thin_arrivals) or (
-                    r0 < sel <= lane._rate_r01 and lane._thin_seed
-                ):
-                    # Same grid-cursor rule as the overlay stage above.
-                    applied, lane._next_sample = lane._batch_thinned(
-                        horizon, lane._run_interval, lane._next_sample, budget
-                    )
-                    if applied:
-                        lane._events = events + applied
-                        continue
-                    # The first candidate is accepted (or crosses the
-                    # horizon): it takes the scalar path below.
-            net = lane._time + lane._rate_scale * draws._exp.item(draws._pos)
-            if cull_pending and cull_time <= horizon and net >= cull_time:
-                # Flash-exit interrupt: consume (and discard) the peeked
-                # exponential, fire the cull; the selector stays pending.
-                draws._pos += 1
-                lane._record_grid_until(cull_time)
-                lane._time = cull_time
-                lane._execute_cull()
-                lane._events = events + 1
-                continue
-            if net > horizon:
-                results[slot] = lane._close_at_horizon()
-                return
-            lane._apply_scalar(net, sel)
-
-    def _classify_windows(
-        self,
-    ) -> Tuple[List[int], List[float], List[bool], List[float], List[float]]:
+    def _classify_windows(self) -> Tuple[List[int], List[float]]:
         """Classify every filed window with one set of numpy ops.
 
-        Returns, per window: the length ``k`` of its leading run of wasted
-        ticks that stays within the horizon, the clock after them, whether
-        the run stops at a horizon crossing, and the event time and
-        selector of the candidate after a streak that broke early.
+        Returns, per window, the length ``k`` of its leading run of wasted
+        ticks that stays within the horizon and the clock after them.
         """
         windows = self._windows
         nseg = len(windows)
-        w_arr = np.array([width for _, _, width in windows], dtype=np.int64)
+        w_arr = np.array([width for _, width in windows], dtype=np.int64)
         seg_starts = np.zeros(nseg, dtype=np.int64)
         np.cumsum(w_arr[:-1], out=seg_starts[1:])
         lane_of = np.repeat(np.arange(nseg), w_arr)
@@ -474,13 +361,13 @@ class StackedSwarmKernel:
         ubuf = np.concatenate(
             [
                 lane.draws._uniforms[lane.draws._pos : lane.draws._pos + 4 * w]
-                for _, lane, w in windows
+                for lane, w in windows
             ]
         )
         exp0 = np.concatenate(
             [
                 lane.draws._exp[lane.draws._pos : lane.draws._pos + 4 * w : 4]
-                for _, lane, w in windows
+                for lane, w in windows
             ]
         )
         # One gather of every per-lane scalar (row counts and sheet bases
@@ -489,7 +376,7 @@ class StackedSwarmKernel:
         scalars = np.array(
             [
                 v
-                for _, lane, _w in windows
+                for lane, _w in windows
                 for v in (
                     lane._rate_total,
                     lane._rate_r01,
@@ -515,7 +402,7 @@ class StackedSwarmKernel:
         n_of = n_arr[lane_of]
         ticker = (tick_u * n_of).astype(np.int64)
         np.minimum(ticker, n_of - 1, out=ticker)
-        for i, (_, lane, width) in enumerate(windows):
+        for i, (lane, width) in enumerate(windows):
             if lane._classes is not None:
                 # Heterogeneous lane: its own vectorized per-class walk; a
                 # lane with no class members cannot tick at all.
@@ -552,62 +439,45 @@ class StackedSwarmKernel:
         end_time = times[rows_idx, counts]
         horizon = self._horizon
         crossed = end_time > horizon
-        applied = counts
         if crossed.any():
             # Horizon crossings happen once per lane per run, and each
             # clock row is strictly increasing: a per-lane bisect replaces
             # a full crossing matrix.
-            applied = counts.copy()
             for i in np.flatnonzero(crossed):
-                applied[i] = int(
-                    np.searchsorted(
-                        times[i, 1 : counts[i] + 1], horizon, side="right"
-                    )
-                )
-            end_time = times[rows_idx, applied]
-        # The breaking candidate of a streak shorter than its window (only
-        # read for those rows; the clamp keeps full windows in range).
-        brk = np.minimum(applied, w_arr - 1)
-        return (
-            applied.tolist(),
-            end_time.tolist(),
-            crossed.tolist(),
-            times[rows_idx, brk + 1].tolist(),
-            sel[seg_starts + brk].tolist(),
-        )
+                row = times[i, 1 : counts[i] + 1]
+                counts[i] = np.searchsorted(row, horizon, side="right")
+            end_time = times[rows_idx, counts]
+        return counts.tolist(), end_time.tolist()
 
-    def _apply_windows(
-        self,
-        applied: List[int],
-        end_time: List[float],
-        crossed: List[bool],
-        breaker_time: List[float],
-        breaker_sel: List[float],
-    ) -> None:
-        """Apply each window's wasted-tick prefix, then the candidate that
-        broke it (see :meth:`_classify_windows`).
+    def _apply_windows(self, applied: List[int], end_time: List[float]) -> None:
+        """Apply each window's wasted-tick prefix (see
+        :meth:`_classify_windows`).
 
-        The breaker is applied here, not left pending: the next round
-        would file the same tick into a window again and break at it
-        forever.  No cap check is needed before it — a window is never
-        wider than the lane's remaining event budget, and wasted ticks
-        leave the population unchanged.
+        A prefix shorter than its window stopped at a candidate that is
+        not a wasted tick, or that crosses the horizon: it becomes the
+        lane's breaker, so the next round's solo loop takes it on the
+        scalar path instead of filing the same tick again.  No cap check
+        is needed — a window is never wider than the lane's remaining
+        event budget, and wasted ticks leave the population unchanged.
         """
-        results = self._results
-        for i, (slot, lane, width) in enumerate(self._windows):
+        for i, (lane, width) in enumerate(self._windows):
             k = applied[i]
             if k:
                 t_new = end_time[i]
-                lane._record_grid_until(t_new)
+                # The solo loop's time-correct grid walk up to the new clock.
+                horizon = lane._run_horizon
+                next_sample = lane._next_sample
+                while next_sample <= horizon and next_sample < t_new:
+                    lane._record_sample(next_sample)
+                    next_sample += lane._run_interval
+                lane._next_sample = next_sample
                 lane._time = t_new
                 lane.metrics.wasted_contacts += k
                 # Inline advance(4k): the window width was capped at
                 # remaining >> 2, so 4k draws are always pending.
                 lane.draws._pos += 4 * k
                 lane._events += k
-            if crossed[i]:
-                results[slot] = lane._close_at_horizon()
-            elif k == width:
+            if k == width:
                 lane._stk_window = min(2 * lane._stk_window, _MAX_WINDOW)
             else:
                 # Broken streak: size the next window to the streak the
@@ -615,10 +485,7 @@ class StackedSwarmKernel:
                 # halving — anything past its streak is speculative
                 # classification waste.
                 lane._stk_window = max(k + 8, _MIN_WINDOW)
-                if breaker_time[i] > self._horizon:
-                    results[slot] = lane._close_at_horizon()
-                else:
-                    lane._apply_scalar(breaker_time[i], breaker_sel[i])
+                lane._breaker_time = lane._time
 
 
 __all__ = ["StackedSwarmKernel"]

@@ -211,6 +211,7 @@ class _SwarmEventLoop:
     #: clean rate cache they leave unchanged, record any crossed grid points
     #: and return ``(k, next_sample)``; the first event not provably
     #: state-neutral (or crossing ``horizon`` / ``limit``) is left unapplied.
+    #: A negative ``k`` (nothing applied) stops :meth:`_loop` early.
     _batch_enabled = False
 
     # -- scenario plumbing -----------------------------------------------------
@@ -610,6 +611,28 @@ class _SwarmEventLoop:
         cumulative across resumed segments.
         """
         self._begin_run(horizon, initial_state, sample_interval, resume)
+        return self._result(
+            *self._loop(horizon, max_events, max_population, suspend_after_events)
+        )
+
+    def _loop(
+        self,
+        horizon: float,
+        max_events: Optional[int],
+        max_population: Optional[int],
+        suspend_after_events: Optional[int],
+    ) -> Optional[Tuple[bool, bool]]:
+        """Run a begun run's events; returns ``(horizon_reached,
+        suspended)`` for :meth:`_result`.
+
+        The grid cursor and the event count are written back to
+        ``_next_sample`` / ``_events`` whenever the loop returns, so it can
+        be left and re-entered between any two events.  It returns early —
+        ``None``, the run still open — only when :meth:`_batch_stage`
+        reports a negative count, having applied nothing and consumed no
+        draw (stacked lanes file their windows this way, see
+        :mod:`repro.swarm.stacked`).
+        """
         interval = self._run_interval
         next_sample = self._next_sample
         events = self._events
@@ -653,6 +676,10 @@ class _SwarmEventLoop:
                     horizon, interval, next_sample, limit
                 )
                 if applied:
+                    if applied < 0:
+                        self._next_sample = next_sample
+                        self._events = events
+                        return None
                     events += applied
                     continue
             # Inline ``draws.exponential(scale)`` / ``draws.next()``: read
@@ -700,7 +727,7 @@ class _SwarmEventLoop:
             events += 1
         self._next_sample = next_sample
         self._events = events
-        return self._result(horizon_reached, suspended)
+        return horizon_reached, suspended
 
     def _begin_run(
         self,

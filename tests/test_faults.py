@@ -31,6 +31,7 @@ import pytest
 
 from repro.experiments.runner import (
     TaskFailure,
+    TaskTimeoutError,
     WorkerCrashError,
     map_tasks,
 )
@@ -181,6 +182,11 @@ def _slow_identity(value):
     return value
 
 
+def _two_second_identity(value):
+    time.sleep(2.0)
+    return value
+
+
 class TestDefaultPoolPath:
     """``map_tasks`` on a pool with every option at its default."""
 
@@ -252,6 +258,12 @@ class TestSupervisedMapTasks:
                              max_retries=1, with_attempt=True))
         assert out == [0, 2, 4, 6]
         assert time.monotonic() - started < 30.0  # far below the 60 s stall
+
+    def test_single_task_timeout_is_enforced(self):
+        """A lone task on a ``workers > 1`` call runs on the pool when it
+        has a deadline: in-process its ``task_timeout`` could not fire."""
+        with pytest.raises(TaskTimeoutError):
+            list(map_tasks(_two_second_identity, [0], 2, task_timeout=0.5))
 
     def test_supervision_options_validated(self):
         with pytest.raises(ValueError, match="does not support"):

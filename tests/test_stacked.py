@@ -61,6 +61,7 @@ def lane_specs():
     rider = mk_scenario("free-rider", leech_fraction=0.5)
     hetero = mk_scenario("heterogeneous-classes")
     outage = mk_scenario("seed-outage", outage_start=1.0, outage_end=2.0)
+    exit_ = mk_scenario("flash-exit", exit_time=2.0, exit_fraction=0.5)
     return [
         (plain, None, 101),
         (flash.params, flash, 202),
@@ -68,6 +69,7 @@ def lane_specs():
         (hetero.params, hetero, 404),
         (outage.params, outage, 505),
         (plain, None, 606),
+        (exit_.params, exit_, 707),
     ]
 
 
@@ -80,6 +82,7 @@ def metrics_tuple(metrics):
         tuple(metrics.min_piece_count),
         metrics.wasted_contacts,
         metrics.thinned_events,
+        metrics.culled_peers,
         tuple(metrics.sojourn_times),
         tuple(metrics.download_times),
     )
@@ -128,16 +131,37 @@ def stacked_results(specs, init, **run_kwargs):
     )
 
 
+def suspended_solo_resumes(specs, init, suspend_after):
+    """Each spec's solo run suspended after ``suspend_after`` events and
+    then resumed to the horizon (the resumed results)."""
+    results = []
+    for params, scenario, seed in specs:
+        kernel = ArraySwarmKernel(
+            params, scenario=scenario, seed=np.random.default_rng(seed)
+        )
+        first = kernel.run(
+            HORIZON,
+            initial_state=init,
+            sample_interval=INTERVAL,
+            suspend_after_events=suspend_after,
+        )
+        assert first.suspended
+        results.append(kernel.run(HORIZON, resume=True))
+    return results
+
+
 class TestLaneBitIdentity:
     def test_mixed_lanes_match_solo_runs(self):
-        """Plain / flash-crowd / free-rider / hetero-classes / seed-outage
-        lanes all reproduce their solo trajectories bit for bit."""
+        """Plain / flash-crowd / free-rider / hetero-classes / seed-outage /
+        flash-exit lanes all reproduce their solo trajectories bit for
+        bit."""
         specs = lane_specs()
         init = SystemState.one_club(10, 200)
         solos = solo_results(specs, init)
         _, stacked = stacked_results(specs, init)
         for index, (solo, lane) in enumerate(zip(solos, stacked)):
             assert result_tuple(solo) == result_tuple(lane), f"lane {index}"
+        assert stacked[-1].metrics.culled_peers > 0  # the cull fired
 
     def test_event_cap_matches_solo(self):
         specs = lane_specs()[:3]
@@ -153,19 +177,7 @@ class TestLaneBitIdentity:
         the continued trajectories equal uninterrupted solo resumes."""
         specs = lane_specs()[:3]
         init = SystemState.one_club(10, 200)
-        solo_resumed = []
-        for params, scenario, seed in specs:
-            kernel = ArraySwarmKernel(
-                params, scenario=scenario, seed=np.random.default_rng(seed)
-            )
-            first = kernel.run(
-                HORIZON,
-                initial_state=init,
-                sample_interval=INTERVAL,
-                suspend_after_events=150,
-            )
-            assert first.suspended
-            solo_resumed.append(kernel.run(HORIZON, resume=True))
+        solo_resumed = suspended_solo_resumes(specs, init, 150)
         stack, mid = stacked_results(specs, init, suspend_after_events=150)
         assert all(result.suspended for result in mid)
         snapshots = [stack.lane(i).capture_state() for i in range(len(specs))]
@@ -179,6 +191,40 @@ class TestLaneBitIdentity:
             )
         resumed = stack2.run_all(HORIZON, sample_interval=INTERVAL)
         for solo, lane in zip(solo_resumed, resumed):
+            assert result_tuple(solo) == result_tuple(lane)
+
+    def test_lane_continued_outside_run_all_matches_solo(self):
+        """After ``run_all`` suspends the stack, each lane is an ordinary
+        kernel: its solo ``run(resume=True)`` equals the solo continuation."""
+        specs = lane_specs()
+        init = SystemState.one_club(10, 200)
+        solo_resumed = suspended_solo_resumes(specs, init, 150)
+        stack, mid = stacked_results(specs, init, suspend_after_events=150)
+        assert all(result.suspended for result in mid)
+        for slot, solo in enumerate(solo_resumed):
+            resumed = stack.lane(slot).run(HORIZON, resume=True)
+            assert result_tuple(solo) == result_tuple(resumed), f"lane {slot}"
+
+    def test_initial_states_length_is_checked_before_any_lane_starts(self):
+        """A wrong-length ``initial_states`` is rejected before any lane is
+        seeded, so a corrected retry on the same stack still runs."""
+        specs = lane_specs()[:3]
+        init = SystemState.one_club(10, 20)
+        stack = StackedSwarmKernel()
+        for params, scenario, seed in specs:
+            stack.add_lane(
+                params, seed=np.random.default_rng(seed), scenario=scenario
+            )
+        for wrong in ([init] * 2, [init] * 4):
+            with pytest.raises(ValueError, match="initial_states has"):
+                stack.run_all(
+                    HORIZON, initial_states=wrong, sample_interval=INTERVAL
+                )
+        assert [stack.lane(i).population for i in range(3)] == [0, 0, 0]
+        stacked = stack.run_all(
+            HORIZON, initial_states=[init] * 3, sample_interval=INTERVAL
+        )
+        for solo, lane in zip(solo_results(specs, init), stacked):
             assert result_tuple(solo) == result_tuple(lane)
 
     def test_solo_snapshot_restores_into_stacked_lane(self):
@@ -247,27 +293,19 @@ class TestLaneBitIdentity:
         with pytest.raises(ValueError, match="initial_state cannot be combined"):
             stack.run_all(HORIZON, initial_states=[init])
 
-    def test_block_size_one_uses_solo_fallback(self, monkeypatch):
-        """``DRAW_BLOCK_SIZE=1`` (the CI determinism pin) still produces the
-        solo trajectories — tiny blocks take the per-lane fallback path."""
-        monkeypatch.setenv("DRAW_BLOCK_SIZE", "1")
-        specs = lane_specs()[:3]
+    @pytest.mark.parametrize("block_size", [1, 4, 7, 16])
+    def test_small_blocks_stress_refill_boundaries(self, monkeypatch, block_size):
+        """Tiny draw blocks force refills next to every window: at 1 (the
+        CI determinism pin) no window fits, 4-7 only one-event windows fit,
+        16 refills inside batched runs.  Lanes must still match the solo
+        runs at the same block size."""
+        monkeypatch.setenv("DRAW_BLOCK_SIZE", str(block_size))
+        specs = lane_specs()
         init = SystemState.one_club(10, 100)
         solos = solo_results(specs, init)
         _, stacked = stacked_results(specs, init)
-        for solo, lane in zip(solos, stacked):
-            assert result_tuple(solo) == result_tuple(lane)
-
-    def test_small_blocks_stress_refill_boundaries(self, monkeypatch):
-        """A 16-draw block forces refills inside batched windows; lanes must
-        still match the solo runs at the same block size."""
-        monkeypatch.setenv("DRAW_BLOCK_SIZE", "16")
-        specs = lane_specs()[:3]
-        init = SystemState.one_club(10, 100)
-        solos = solo_results(specs, init)
-        _, stacked = stacked_results(specs, init)
-        for solo, lane in zip(solos, stacked):
-            assert result_tuple(solo) == result_tuple(lane)
+        for index, (solo, lane) in enumerate(zip(solos, stacked)):
+            assert result_tuple(solo) == result_tuple(lane), f"lane {index}"
 
 
 MIXED = (
