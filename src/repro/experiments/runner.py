@@ -32,9 +32,11 @@ wall-clock, never the science.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,176 +177,283 @@ def _run_supervised_serial(
             yield outcome
 
 
-def _run_supervised_pool(
-    function,
-    tasks: Sequence,
-    pool_size: int,
-    task_timeout: Optional[float],
-    max_retries: int,
-    retry_backoff: float,
-    on_exhausted: str,
-    with_attempt: bool,
-):
-    """Supervised process-pool execution: crash detection, deadlines, retry.
+#: Tasks a :class:`SupervisedPool` keeps submitted per worker.  At two, a
+#: worker that finishes a task takes the next one at once while the parent
+#: is still consuming (folding, logging, checkpointing) the previous result.
+_QUEUE_DEPTH = 2
 
-    Uses ``concurrent.futures.ProcessPoolExecutor`` because a dead worker
-    breaks the executor *loudly* (``BrokenProcessPool`` on every in-flight
-    future) instead of leaving the caller waiting forever for the lost
-    result.  On a broken pool, every in-flight task is charged one attempt
-    (the executor cannot attribute the death to a single future) and the
-    pool is rebuilt; on a deadline overrun, the
-    pool's processes are terminated, only the overrunning tasks are
-    charged, and everything else is requeued uncharged.  Results, and
-    errors re-raised under ``on_exhausted="raise"``, come out strictly in
-    task order.
+
+class SupervisedPool:
+    """A supervised process pool that serves many :meth:`map` calls.
+
+    Built on ``concurrent.futures.ProcessPoolExecutor`` because a dead
+    worker breaks the executor *loudly* (``BrokenProcessPool`` on every
+    unfinished future) instead of leaving the caller waiting forever for
+    the lost result.  The executor starts at the first submission and is
+    kept across maps, so a caller with many short maps (the fleet drivers'
+    rounds) pays one start-up; :meth:`close` terminates anything still in
+    flight and reaps the workers.
+
+    :meth:`map` keeps ``2 * pool_size`` tasks submitted, so a worker never
+    waits for the parent, and supervises them:
+
+    * **deadlines** — the executor hands tasks to workers in submission
+      order, so only the oldest ``pool_size`` unfinished submissions can be
+      running.  A task's ``task_timeout`` clock starts when the supervisor
+      sees it among them: a queued task never times out while it waits.
+      An overrun terminates the pool's processes; only the overrunning
+      tasks are charged an attempt, the rest are requeued uncharged.
+    * **crashes** — a worker death breaks every unfinished future and the
+      executor cannot say whose task killed it.  Queued tasks are requeued
+      unchanged.  The started ones (the oldest ``pool_size``) are
+      *suspects*: requeued uncharged and re-run one at a time, each alone
+      on the pool, before any other work.  Only a task that breaks a pool
+      it has to itself is charged.
+    * **back-off** — a charged task is retried ``retry_backoff * 2**k``
+      seconds later (``k`` = its earlier charges) without holding up the
+      others: it carries a ``not_before`` time that the submission loop
+      skips it until, and the supervisor's wait wakes at the earliest one.
+
+    A charged failure counts against ``max_retries``; the attempt number
+    handed to ``function`` (``with_attempt``) counts every earlier run that
+    ended without a result, suspect crashes included.  Results, and errors
+    re-raised under ``on_exhausted="raise"``, come out strictly in task
+    order.
     """
-    import concurrent.futures as cf
-    from concurrent.futures.process import BrokenProcessPool
 
-    total = len(tasks)
-    attempts = [0] * total  # failed attempts consumed per task
-    # index -> ("ok", result) | ("raise", error) | TaskFailure
-    resolved: Dict[int, Any] = {}
-    ready: List[int] = list(range(total))
-    heapq.heapify(ready)
-    inflight: Dict[int, Tuple[Any, float]] = {}  # index -> (future, started)
-    executor = cf.ProcessPoolExecutor(pool_size)
+    def __init__(self, pool_size: int):
+        self.pool_size = pool_size
+        self._executor = None  # a ProcessPoolExecutor once started
+        # The running map's submissions, for close().
+        self._inflight: Dict[int, list] = {}
 
-    def restart_pool(kill: bool) -> None:
-        nonlocal executor
+    def _discard(self, kill: bool) -> None:
+        """Shut the executor down, terminating its workers first when
+        ``kill``; the next submission starts a fresh one."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
         if kill:
-            for process in list(getattr(executor, "_processes", {}).values()):
+            processes = getattr(executor, "_processes", None) or {}
+            for process in list(processes.values()):
                 process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
-        executor = cf.ProcessPoolExecutor(pool_size)
+        # Waiting reaps the workers and joins the executor's manager thread,
+        # which otherwise can race the interpreter-exit hook on its wakeup
+        # pipe (EBADF noise).
+        executor.shutdown(wait=True, cancel_futures=True)
 
-    def record_failure(index: int, error: BaseException) -> None:
-        attempts[index] += 1
-        if attempts[index] <= max_retries:
-            if retry_backoff:
-                time.sleep(retry_backoff * (2 ** (attempts[index] - 1)))
-            heapq.heappush(ready, index)
-        elif on_exhausted == "yield":
-            resolved[index] = TaskFailure(
-                task_index=index,
-                error=_describe_error(error),
-                error_type=type(error).__name__,
-                attempts=attempts[index],
-            )
-        else:
-            resolved[index] = ("raise", error)
+    def close(self) -> None:
+        """Terminate anything still in flight, then reap the workers."""
+        self._discard(kill=bool(self._inflight))
 
-    def harvest() -> None:
-        broken = False
-        for index, (future, _started) in list(inflight.items()):
-            if not future.done():
-                continue
+    def map(
+        self,
+        function,
+        tasks: Sequence,
+        *,
+        task_timeout: Optional[float] = None,
+        max_retries: int = 0,
+        retry_backoff: float = 0.0,
+        on_exhausted: str = "raise",
+        with_attempt: bool = False,
+    ):
+        """Stream ``function`` over ``tasks`` on the pool, in task order
+        (the options are those of :func:`map_tasks`)."""
+        import concurrent.futures as cf
+        from concurrent.futures.process import BrokenProcessPool
+
+        total = len(tasks)
+        pool_size = self.pool_size
+        depth = _QUEUE_DEPTH * pool_size
+        charged = [0] * total  # failures counted against max_retries
+        attempts = [0] * total  # earlier runs that ended without a result
+        not_before = [0.0] * total  # a charged task waits out its back-off
+        # index -> ("ok", result) | ("raise", error) | TaskFailure
+        resolved: Dict[int, Any] = {}
+        ready: List[int] = list(range(total))  # a heap
+        suspects: Deque[int] = deque()
+        # index -> [future, deadline clock start or None, ran alone], in
+        # submission order.
+        inflight: Dict[int, list] = {}
+        self._inflight = inflight
+
+        def record_failure(index: int, error: BaseException) -> None:
+            charged[index] += 1
+            attempts[index] += 1
+            if charged[index] <= max_retries:
+                not_before[index] = time.monotonic() + retry_backoff * (
+                    2 ** (charged[index] - 1)
+                )
+                heapq.heappush(ready, index)
+            elif on_exhausted == "yield":
+                resolved[index] = TaskFailure(
+                    task_index=index,
+                    error=_describe_error(error),
+                    error_type=type(error).__name__,
+                    attempts=charged[index],
+                )
+            else:
+                resolved[index] = ("raise", error)
+
+        def settle(index: int, future) -> bool:
+            """Take in a future that finished on a healthy pool."""
+            if not future.done() or isinstance(
+                future.exception(), BrokenProcessPool
+            ):
+                return False
             del inflight[index]
             error = future.exception()
             if error is None:
                 resolved[index] = ("ok", future.result())
-            elif isinstance(error, BrokenProcessPool):
-                broken = True
-                record_failure(
-                    index,
-                    WorkerCrashError(
-                        f"worker process died while running task {index}"
-                    ),
-                )
             else:
                 record_failure(index, error)
-        if broken:
-            # Any future still pending on the broken pool is doomed too.
-            for index in list(inflight):
-                del inflight[index]
+            return True
+
+        def harvest() -> None:
+            broken = False
+            for index, (future, _clock, _alone) in list(inflight.items()):
+                if not settle(index, future) and future.done():
+                    broken = True
+            if not broken:
+                return
+            # The executor sets every result it received before it marks
+            # the pool broken, so what is still unsettled died with it.
+            lost = [
+                index
+                for index, (future, _clock, _alone) in list(inflight.items())
+                if not settle(index, future)
+            ]
+            alone = len(lost) == 1 and inflight[lost[0]][2]
+            inflight.clear()
+            self._discard(kill=False)
+            if alone:
                 record_failure(
-                    index,
+                    lost[0],
                     WorkerCrashError(
-                        f"worker pool broke while task {index} was in flight"
+                        f"worker process died while running task {lost[0]}"
                     ),
                 )
-            restart_pool(kill=False)
+                return
+            for position, index in enumerate(lost):
+                if position < pool_size:
+                    attempts[index] += 1
+                    suspects.append(index)
+                else:
+                    heapq.heappush(ready, index)
 
-    def expire() -> None:
-        if task_timeout is None or not inflight:
-            return
-        now = time.monotonic()
-        overran = {
-            index
-            for index, (future, started) in inflight.items()
-            if now - started >= task_timeout and not future.done()
-        }
-        if not overran:
-            return
-        # Terminating the pool aborts *everything* in flight; only the
-        # overrunning tasks pay an attempt, the rest requeue uncharged.
-        for index, (future, _started) in list(inflight.items()):
-            del inflight[index]
-            if index in overran:
-                record_failure(
-                    index,
-                    TaskTimeoutError(
-                        f"task {index} exceeded the {task_timeout}s deadline"
-                    ),
-                )
-            else:
-                heapq.heappush(ready, index)
-        restart_pool(kill=True)
+        def expire() -> None:
+            if task_timeout is None:
+                return
+            now = time.monotonic()
+            overran = {
+                index
+                for index, (future, clock, _alone) in inflight.items()
+                if clock is not None
+                and now - clock >= task_timeout
+                and not future.done()
+            }
+            if not overran:
+                return
+            # Terminating the pool aborts *everything* in flight; only the
+            # overrunning tasks pay an attempt, the rest requeue uncharged.
+            lost = list(inflight)
+            inflight.clear()
+            self._discard(kill=True)
+            for index in lost:
+                if index in overran:
+                    record_failure(
+                        index,
+                        TaskTimeoutError(
+                            f"task {index} exceeded the {task_timeout}s deadline"
+                        ),
+                    )
+                else:
+                    heapq.heappush(ready, index)
 
-    def fill() -> None:
-        while ready and len(inflight) < pool_size:
-            index = heapq.heappop(ready)
-            if index in resolved:
-                continue
+        def submit(index: int, alone: bool) -> bool:
             try:
-                future = executor.submit(
+                if self._executor is None:
+                    self._executor = cf.ProcessPoolExecutor(pool_size)
+                future = self._executor.submit(
                     _invoke_task, function, tasks[index], attempts[index],
                     with_attempt,
                 )
             except (BrokenProcessPool, RuntimeError):
-                heapq.heappush(ready, index)
-                restart_pool(kill=False)
-                continue
-            inflight[index] = (future, time.monotonic())
+                # A pool that broke under unharvested futures is handled by
+                # the next harvest; one with nothing in flight is replaced.
+                if not inflight:
+                    self._discard(kill=False)
+                return False
+            inflight[index] = [future, None, alone]
+            return True
 
-    try:
-        emit = 0
-        while emit < total:
-            harvest()
-            expire()
-            fill()
-            if emit in resolved:
-                value = resolved.pop(emit)
-                if isinstance(value, TaskFailure):
-                    yield value
-                elif value[0] == "raise":
-                    raise value[1]
-                else:
-                    yield value[1]
-                emit += 1
-                continue
-            futures = [future for future, _started in inflight.values()]
-            if not futures:
-                continue
-            if task_timeout is not None:
-                now = time.monotonic()
-                next_deadline = min(
-                    started + task_timeout for _f, started in inflight.values()
-                )
-                wait_for = max(next_deadline - now, 0.0) + 0.01
-            else:
+        def fill() -> None:
+            if suspects:
+                if not inflight and submit(suspects[0], alone=True):
+                    suspects.popleft()
+                return
+            now = time.monotonic()
+            deferred = []
+            while ready and len(inflight) < depth:
+                index = heapq.heappop(ready)
+                if not_before[index] > now:
+                    deferred.append(index)
+                elif not submit(index, alone=False):
+                    deferred.append(index)
+                    break
+            for index in deferred:
+                heapq.heappush(ready, index)
+
+        def start_clocks() -> None:
+            now = time.monotonic()
+            for entry in itertools.islice(inflight.values(), pool_size):
+                if entry[1] is None:
+                    entry[1] = now
+
+        try:
+            emit = 0
+            while emit < total:
+                harvest()
+                expire()
+                fill()
+                start_clocks()
+                if emit in resolved:
+                    value = resolved.pop(emit)
+                    if isinstance(value, TaskFailure):
+                        yield value
+                    elif value[0] == "raise":
+                        raise value[1]
+                    else:
+                        yield value[1]
+                    emit += 1
+                    continue
+                wakes = []
+                if task_timeout is not None:
+                    wakes.extend(
+                        clock + task_timeout
+                        for _future, clock, _alone in inflight.values()
+                        if clock is not None
+                    )
+                if ready and not suspects and len(inflight) < depth:
+                    # What fill() left in ``ready`` is backing off.
+                    wakes.append(min(not_before[index] for index in ready))
                 wait_for = None
-            cf.wait(futures, timeout=wait_for, return_when=cf.FIRST_COMPLETED)
-    finally:
-        if inflight:
-            # The consumer stopped early or a task's error was raised:
-            # terminate the outstanding work.
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.terminate()
-        # Waiting joins the executor's manager thread, which otherwise can
-        # race the interpreter-exit hook on its wakeup pipe (EBADF noise).
-        executor.shutdown(wait=True, cancel_futures=True)
+                if wakes:
+                    wait_for = max(min(wakes) - time.monotonic(), 0.0) + 0.01
+                futures = [entry[0] for entry in inflight.values()]
+                if futures:
+                    cf.wait(
+                        futures, timeout=wait_for, return_when=cf.FIRST_COMPLETED
+                    )
+                elif wait_for is not None:
+                    time.sleep(wait_for)
+        finally:
+            if inflight:
+                # The consumer stopped early or a task's error was raised:
+                # terminate the outstanding work, so the next map starts on
+                # fresh workers.
+                inflight.clear()
+                self._discard(kill=True)
 
 
 def map_tasks(
@@ -357,39 +466,56 @@ def map_tasks(
     retry_backoff: float = 0.0,
     on_exhausted: str = "raise",
     with_attempt: bool = False,
+    pool: Optional[SupervisedPool] = None,
 ):
     """Stream ``function`` over ``tasks``, serially or on a process pool.
 
     ``workers in (None, 0, 1)`` runs in-process; larger values use a
-    supervised ``ProcessPoolExecutor`` of ``min(workers, len(tasks))``
-    processes, except that a single task without a ``task_timeout`` runs
-    in-process too (a pool of one would only add its start-up).  Results
-    are yielded strictly in task order either way, and a task's error is
-    raised in its position with its original type, so callers' outcomes
-    never depend on the worker count.  A worker process
-    that dies mid-task surfaces as :class:`WorkerCrashError` instead of a
-    hang.  The pool is torn down when the generator is exhausted *or*
-    closed early (a consumer that stops iterating — e.g. the fleet
-    scheduler hitting a checkpoint stop — cancels the outstanding work).
+    :class:`SupervisedPool` of ``min(workers, len(tasks))`` processes,
+    except that a single task without a ``task_timeout`` runs in-process
+    too (a pool of one would only add its start-up).  Results are yielded
+    strictly in task order either way, and a task's error is raised in its
+    position with its original type, so callers' outcomes never depend on
+    the worker count.  A worker process that dies mid-task surfaces as
+    :class:`WorkerCrashError` instead of a hang.  The pool keeps two tasks
+    per worker submitted, so workers run ahead while the consumer handles
+    a result.  It is torn down when the generator is exhausted *or* closed
+    early (a consumer that stops iterating — e.g. the fleet scheduler
+    hitting a checkpoint stop — cancels the outstanding work).  ``pool=``
+    (internal) maps on a caller-owned pool instead, which outlives the
+    call — the fleet drivers start one per run; work left in flight by an
+    early close is still terminated.
 
     Supervision options (the defaults run every task once and raise its
     error):
 
     * ``max_retries`` — failed tasks are retried up to this many times
       with deterministic exponential backoff (``retry_backoff * 2**k``
-      seconds before retry ``k+1``); a worker-process death
-      (:class:`WorkerCrashError`) counts as a failed attempt for every
-      task that was in flight.
+      seconds before retry ``k+1``).  On the pool a backing-off task waits
+      on its own ``not_before`` time while the other tasks keep running;
+      in-process the backoff is a sleep.
+    * worker deaths — the pool cannot tell which running task killed a
+      worker, so no task is charged for a death among several: every task
+      that had started (the oldest ``min(workers, len(tasks))``
+      unfinished) is re-run alone, one at a time, before any other work,
+      and a task is charged a failed attempt only when it kills a worker
+      it had to itself (:class:`WorkerCrashError`).  The cost: a crash
+      runs its suspects serially and restarts the pool once more for every
+      suspect that crashes again.
     * ``task_timeout`` — per-task wall-clock deadline (seconds) on the
-      pool path; an overrunning task's workers are terminated and the
-      task is charged one attempt.  Unenforceable in-process (a serial
-      run has no supervisor), so serial supervision retries only.
+      pool path, clocked from when the task can be running (it is among
+      the oldest ``min(workers, len(tasks))`` unfinished submissions), so
+      time spent queued never counts; an overrunning task's workers are
+      terminated and the task is charged one attempt.  Unenforceable
+      in-process (a serial run has no supervisor), so serial supervision
+      retries only.
     * ``on_exhausted`` — ``"raise"`` re-raises the final error;
       ``"yield"`` yields a :class:`TaskFailure` sentinel in the task's
       position so the consumer can degrade gracefully.
     * ``with_attempt`` — call ``function(task, attempt)`` instead of
       ``function(task)``, letting deterministic fault plans key on the
-      attempt number.
+      attempt number: the task's earlier runs that ended without a result,
+      including the crash-suspect runs that were not charged.
 
     This is the one process-fan-out primitive of the experiment stack:
     :class:`BatchRunner` maps replications through it and
@@ -403,22 +529,28 @@ def map_tasks(
     workers = workers or 0
     # A lone task needs the pool only to enforce its deadline.
     min_pool_tasks = 1 if task_timeout is not None else 2
-    if workers > 1 and len(tasks) >= min_pool_tasks:
-        yield from _run_supervised_pool(
-            function,
-            tasks,
-            min(workers, len(tasks)),
-            task_timeout,
-            max_retries,
-            retry_backoff,
-            on_exhausted,
-            with_attempt,
-        )
-    else:
+    if workers <= 1 or len(tasks) < min_pool_tasks:
         yield from _run_supervised_serial(
             function, tasks, max_retries, retry_backoff, on_exhausted,
             with_attempt,
         )
+        return
+    owned = pool is None
+    if owned:
+        pool = SupervisedPool(min(workers, len(tasks)))
+    try:
+        yield from pool.map(
+            function,
+            tasks,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+            on_exhausted=on_exhausted,
+            with_attempt=with_attempt,
+        )
+    finally:
+        if owned:
+            pool.close()
 
 
 @dataclass

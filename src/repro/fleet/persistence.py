@@ -138,7 +138,10 @@ class FleetLogHeader:
 
 def record_to_json(record: FleetSwarmRecord) -> str:
     """One swarm record as a single checksummed JSON line (no newline)."""
-    payload = {"kind": _RECORD_KIND, **asdict(record)}
+    # Every field is a scalar or a tuple of ints, so reading the fields
+    # gives what ``asdict`` would, without its per-entry deep copy.
+    payload = {"kind": _RECORD_KIND}
+    payload.update((name, getattr(record, name)) for name in _RECORD_FIELDS)
     payload["crc"] = _crc_of(payload)
     return json.dumps(payload, sort_keys=True)
 

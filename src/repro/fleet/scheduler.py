@@ -9,8 +9,9 @@ one round per acquisition step.  For every round:
 * **sharding** — the round's swarm tasks are grouped into chunks of
   ``chunk_size`` consecutive swarms and mapped over
   :func:`repro.experiments.runner.map_tasks` (the same process-pool
-  primitive :class:`~repro.experiments.runner.BatchRunner` uses), so many
-  short swarms amortize one worker dispatch; with ``stacked=True`` each
+  primitive :class:`~repro.experiments.runner.BatchRunner` uses) on one
+  pool held for the whole run, so many short swarms amortize one worker
+  dispatch and many rounds one pool start; with ``stacked=True`` each
   chunk runs inside one :class:`~repro.swarm.stacked.StackedSwarmKernel`
   (bit-identical trajectories, higher throughput) instead of one solo
   kernel per swarm;
@@ -213,6 +214,17 @@ class PersistentFleetExecution:
     :meth:`resume` / :meth:`from_checkpoint` from a checkpoint plus its log
     prefix.
 
+    Pool lifetime: with ``workers > 1`` a run holds one
+    :class:`~repro.experiments.runner.SupervisedPool` of ``min(workers,
+    ceil(round size / chunk_size))`` processes for all of its rounds, on
+    the per-swarm and the stacked path alike.  Its workers start at the
+    first round that takes the pool path, keep two chunks each submitted
+    (a worker runs the next chunk while the parent folds, logs and
+    checkpoints the last one), and are terminated if still busy and
+    reaped before :meth:`run` or :meth:`resume` returns or raises.  A
+    crash or timeout restarts the pool inside the round; nothing else
+    does.
+
     Subclasses set ``spec_type`` and define :meth:`_round_size` (the chunk
     size default's unit), :meth:`_prepare` (per-run state, rebuilt from
     the log prefix on resume), :meth:`_rounds` and :meth:`_result`, and may
@@ -224,9 +236,9 @@ class PersistentFleetExecution:
         The frozen run description (an instance of ``spec_type``).
     workers:
         ``None``/0/1 runs in-process; ``n > 1`` shards chunks over the
-        supervised executor of :func:`repro.experiments.runner.map_tasks`
-        (a dead worker raises instead of hanging the run).  The result is
-        identical either way.
+        run's supervised pool through
+        :func:`repro.experiments.runner.map_tasks` (a dead worker raises
+        instead of hanging the run).  The result is identical either way.
     chunk_size:
         Consecutive swarms per worker dispatch (default: a few chunks per
         worker lane).
@@ -490,6 +502,15 @@ class PersistentFleetExecution:
         result = FleetResult.from_records(spec.name, spec.num_swarms, records)
         writer = self._open_writer(spec, seed, checkpoint)
         run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
+        pool = None
+        if (self.workers or 0) > 1:
+            from ..experiments.runner import SupervisedPool
+
+            # One pool serves every round; its workers start at the first
+            # round that takes the pool path.
+            pool = SupervisedPool(
+                min(self.workers, math.ceil(self._round_size() / self.chunk_size))
+            )
         try:
             rounds = self._rounds(result)
             if checkpoint is None:
@@ -525,7 +546,7 @@ class PersistentFleetExecution:
                     for start in range(0, run_now, self.chunk_size)
                 ]
                 since_checkpoint = 0
-                for chunk_records in self._map_chunks(run_chunk, chunks):
+                for chunk_records in self._map_chunks(run_chunk, chunks, pool):
                     self._fold(result, writer, chunk_records)
                     since_checkpoint += 1
                     if since_checkpoint >= self.checkpoint_every:
@@ -553,6 +574,8 @@ class PersistentFleetExecution:
             self._write_checkpoint(result, seed, writer)
             return self._result(result)
         finally:
+            if pool is not None:
+                pool.close()
             if writer is not None:
                 writer.close()
 
@@ -630,8 +653,9 @@ class PersistentFleetExecution:
             keep_previous=not fresh,
         )
 
-    def _map_chunks(self, run_chunk, chunks):
-        """Map chunk jobs over the workers through :func:`map_tasks`.
+    def _map_chunks(self, run_chunk, chunks, pool):
+        """Map chunk jobs over the workers through :func:`map_tasks`, on
+        the run's ``pool`` when it has one.
 
         Chunk failures are retried with backoff by the runner.  With
         supervision configured, a chunk whose retries are exhausted is
@@ -650,6 +674,7 @@ class PersistentFleetExecution:
             retry_backoff=self.retry_backoff,
             on_exhausted="yield" if self._supervised else "raise",
             with_attempt=True,
+            pool=pool,
         )
         for outcome in outcomes:
             if isinstance(outcome, TaskFailure):

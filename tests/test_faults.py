@@ -13,10 +13,11 @@ The acceptance criteria of the robustness PR:
 * a poison swarm degrades to a ``failed`` record without poisoning its
   chunk-mates, and salvage mode recovers what a corrupted log still holds.
 
-The ``chaos``-named tests double as the CI chaos smoke step
-(``pytest tests/test_faults.py -k chaos``).
+The ``chaos``-named tests and the ``Supervised`` classes double as the CI
+chaos smoke step (``pytest tests/test_faults.py -k "chaos or Supervised"``).
 """
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -59,7 +60,7 @@ from repro.fleet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.fleet.faults import FaultState, corrupt_file_bytes
+from repro.fleet.faults import FaultState, corrupt_file_bytes, fire_task_faults
 from repro.fleet.persistence import FleetLogError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +188,22 @@ def _two_second_identity(value):
     return value
 
 
+def _timed_task(fails, attempt):
+    """Sleep 0.1 s, then report when the task finished; a task that
+    ``fails`` raises on its first attempt."""
+    if fails and attempt == 0:
+        raise RuntimeError("planned failure")
+    time.sleep(0.1)
+    return time.monotonic()
+
+
+def _planned_sleep(task, attempt):
+    plan, index, seconds = task
+    fire_task_faults(plan, index, attempt)
+    time.sleep(seconds)
+    return index
+
+
 class TestDefaultPoolPath:
     """``map_tasks`` on a pool with every option at its default."""
 
@@ -284,6 +301,82 @@ class TestSupervisedMapTasks:
             run_fleet(small_spec(), retry_backoff=-1.0)
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The ``ProcessPoolExecutor`` constructions made during a test."""
+    starts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class CountingExecutor(real):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    return starts
+
+
+def _fleet_call(kind, plan, tmp_path):
+    """One fleet call at ``workers=2``, with its uninterrupted fingerprint."""
+    options = dict(workers=2, max_retries=1, fault_plan=plan)
+    if kind == "fleet":
+        return run_fleet(small_spec(), seed=3, **options), run_fleet(
+            small_spec(), seed=3
+        )
+    if kind == "stacked":
+        return run_fleet(small_spec(), seed=3, stacked=True, **options), run_fleet(
+            small_spec(), seed=3
+        )
+    clean = run_adaptive_fleet(tiny_adaptive_spec(), seed=5)
+    if kind == "adaptive":
+        return run_adaptive_fleet(tiny_adaptive_spec(), seed=5, **options), clean
+    return resume_adaptive_fleet(tmp_path / "cp", **options), clean
+
+
+class TestSupervisedPool:
+    """One pool per fleet run, a two-deep queue, exact supervision."""
+
+    @pytest.mark.parametrize("crash", [False, True])
+    @pytest.mark.parametrize("kind", ["fleet", "stacked", "adaptive", "resume"])
+    def test_one_pool_start_per_call(self, kind, crash, pool_starts, tmp_path):
+        if kind == "resume":
+            # Killed mid-round 1 with a swarm suspended; the resume runs
+            # the rest of round 1 and all of round 2.
+            run_adaptive_fleet(
+                tiny_adaptive_spec(), seed=5, workers=2,
+                checkpoint_path=tmp_path / "cp", stop_after_swarms=3,
+                suspend_after_events=30,
+            )
+        plan = FaultPlan(worker_crashes=(8,)) if crash else None
+        before = set(multiprocessing.active_children())
+        del pool_starts[:]
+        outcome, clean = _fleet_call(kind, plan, tmp_path)
+        # A planned crash restarts the pool once; its suspects re-run alone,
+        # at their next attempt number, on the restarted pool.
+        assert len(pool_starts) == (2 if crash else 1)
+        assert set(multiprocessing.active_children()) - before == set()
+        assert outcome.fingerprint() == clean.fingerprint()
+
+    def test_queued_task_does_not_time_out_while_waiting(self):
+        """Six 0.6 s tasks on two workers take 1.8 s, but none ever runs
+        for the 1.0 s deadline: the queue's wait is not clocked."""
+        tasks = [(None, index, 0.6) for index in range(6)]
+        out = list(map_tasks(_planned_sleep, tasks, 2, task_timeout=1.0,
+                             with_attempt=True))
+        assert out == list(range(6))
+
+    def test_backoff_does_not_stall_healthy_workers(self):
+        """Task 1 fails once and backs off for 3 s; the healthy tasks after
+        it keep the workers busy and all finish inside that back-off."""
+        tasks = [index == 1 for index in range(10)]
+        started = time.monotonic()
+        out = list(map_tasks(_timed_task, tasks, 2, max_retries=1,
+                             retry_backoff=3.0, with_attempt=True))
+        healthy = out[2:]
+        assert max(healthy) < started + 3.0
+        assert out[1] >= started + 3.0  # the back-off itself is honoured
+
+
 # -- chaos: automatic recovery to exact fingerprints --------------------------
 
 
@@ -312,6 +405,41 @@ class TestChaosRecovery:
         )
         assert faulty.fleet.failed_count == 0
         assert faulty.fingerprint() == clean
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chaos_double_crash_charges_no_innocent_task(self, workers):
+        """Two worker kills while a slow task runs beside each: the slow
+        task is never charged, so ``max_retries=1`` is never exhausted."""
+        plan = FaultPlan(worker_crashes=(1, 5))
+        tasks = [(plan, index, 1.5 if index == 0 else 0.05) for index in range(8)]
+        out = list(map_tasks(_planned_sleep, tasks, workers, max_retries=1,
+                             on_exhausted="yield", with_attempt=True))
+        assert not any(isinstance(value, TaskFailure) for value in out)
+        assert out == list(range(8))
+
+        spec = small_spec()
+        clean = run_fleet(spec, seed=42).fingerprint()
+        # Swarms 0 and 4 stall for a second beside the chunks that crash.
+        plan = FaultPlan(
+            worker_crashes=(2, 7), stall_tasks=(0, 4), stall_seconds=1.0
+        )
+        faulty = run_fleet(spec, seed=42, workers=workers, chunk_size=2,
+                           max_retries=1, fault_plan=plan)
+        assert faulty.failed_count == 0
+        assert faulty.fingerprint() == clean
+
+    def test_chaos_crash_during_backoff_keeps_the_backoff(self):
+        """A worker dies while task 1 waits out its back-off: the waiting
+        task is not in flight, so the crash neither charges it nor cuts
+        its back-off short."""
+        plan = FaultPlan(task_errors=(1,), worker_crashes=(4,))
+        tasks = [(plan, index, 0.1) for index in range(8)]
+        started = time.monotonic()
+        out = list(map_tasks(_planned_sleep, tasks, 2, max_retries=1,
+                             retry_backoff=1.0, on_exhausted="yield",
+                             with_attempt=True))
+        assert out == list(range(8))
+        assert time.monotonic() - started >= 1.0
 
     def test_chaos_smoke_two_kills_torn_append_corrupt_checkpoint(self, tmp_path):
         """The CI chaos scenario: 2 worker kills + 1 torn append + corrupted

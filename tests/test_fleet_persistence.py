@@ -12,8 +12,10 @@ Contracts:
   resuming truncates the log back to that offset so both always agree.
 """
 
+import dataclasses
 import json
 import pickle
+import zlib
 
 import pytest
 
@@ -32,7 +34,9 @@ from repro.fleet import (
     run_fleet,
     tail_summary,
 )
-from repro.fleet.spec import FleetSpec
+from repro.fleet.persistence import record_to_json
+from repro.fleet.result import failure_record
+from repro.fleet.spec import FleetSpec, materialize_tasks
 
 
 def small_spec(num_swarms=8, **overrides) -> FleetSpec:
@@ -100,6 +104,31 @@ class TestStreamingLog:
         assert list(rebuilt.records) == list(streamed.records)
         for ours, theirs in zip(rebuilt.records, streamed.records):
             assert ours.key() == theirs.key()
+
+    def test_record_lines_match_the_asdict_form(self, tmp_path):
+        """``record_to_json`` reads the fields directly; its lines must be
+        byte-identical to the ``dataclasses.asdict`` form, for an ``ok``
+        and a ``failed`` record, and still round-trip through the log."""
+        spec = small_spec(num_swarms=2)
+        ok = run_fleet(spec, seed=4).records[0]
+        task = materialize_tasks(spec, 4)[1]
+        failed = failure_record(task, spec, error="RuntimeError: boom", attempts=3)
+        records = [ok, failed]
+        for record in records:
+            payload = {"kind": "swarm", **dataclasses.asdict(record)}
+            payload["crc"] = zlib.crc32(
+                json.dumps(payload, sort_keys=True).encode("utf-8")
+            ) & 0xFFFFFFFF
+            assert record_to_json(record) == json.dumps(payload, sort_keys=True)
+        log = tmp_path / "fleet.jsonl"
+        header = FleetLogHeader(
+            schema=FLEET_LOG_SCHEMA, spec_name=spec.name, num_swarms=2, seed=4
+        )
+        with FleetLogWriter(log, header) as writer:
+            writer.append(records)
+        rebuilt = FleetResult.from_log(log)
+        assert list(rebuilt.records) == records
+        assert rebuilt.records[1].failed
 
 
 class TestCrashRecovery:
