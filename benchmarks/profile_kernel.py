@@ -11,7 +11,7 @@ reference ``BENCH_WORKLOAD`` (or the scenario variant) twice:
      place the numpy ``Generator`` is touched),
    * **apply** — event application, split into the vectorized batch stage
      (``_batch_stage``) and the scalar dispatch (``_apply_event``),
-   * **census** — sample-grid metric recording (``_record_sample``)
+   * **census** — sample-grid metric recording (``_record_until``)
 
    — and printing a phase / calls / seconds / share table.  Whatever is left
    over is the residual scalar loop (rate recomputation, bound checks).
@@ -154,16 +154,14 @@ def _phase_timers():
     """Timers on the phase entry points of both backends."""
     from repro.swarm.drawbuf import DrawBuffer
     from repro.swarm.kernel import ArraySwarmKernel
-    from repro.swarm.swarm import SwarmSimulator, _SwarmEventLoop
+    from repro.swarm.swarm import _SwarmEventLoop
     from repro.swarm.topology import OverlayState
 
     return _timed_methods([
         (DrawBuffer, "_refill", "draw (block refill)"),
         (ArraySwarmKernel, "_batch_stage", "apply (batch stage)"),
         (_SwarmEventLoop, "_apply_event", "apply (scalar dispatch)"),
-        # _record_sample lives on each backend, not the shared driver.
-        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
-        (SwarmSimulator, "_record_sample", "census (sampling)"),
+        (_SwarmEventLoop, "_record_until", "census (sampling)"),
         # Overlay rows stay at zero calls (and are omitted from the table)
         # unless the workload carries a topology (``--topology``).
         (OverlayState, "on_arrival", "overlay (arrival wiring)"),
@@ -276,7 +274,7 @@ def run_stacked_phase_table(args) -> None:
         (_SwarmEventLoop, "_apply_event", "scalar dispatch"),
         (ArraySwarmKernel, "_batch_thinned", "thinned batch"),
         (DrawBuffer, "_refill", "draw (block refill)"),
-        (ArraySwarmKernel, "_record_sample", "census (sampling)"),
+        (_SwarmEventLoop, "_record_until", "census (sampling)"),
         (ArraySwarmKernel, "_batch_hetero_tickers", "hetero ticker walk"),
     ]
     stack, horizon, run_kwargs = _build_stacked(args)

@@ -42,6 +42,7 @@ import numpy as np
 
 from ..analysis.tables import format_table
 from ..simulation.rng import SeedLike
+from ..swarm.metrics import check_sample_grid
 from ..swarm.swarm import unsupported_option
 from .faults import FaultPlan
 from .result import FleetResult, FleetSwarmRecord
@@ -113,6 +114,7 @@ class AdaptiveFleetSpec:
                 raise ValueError(f"{label} must not be empty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{label} must be strictly increasing: {values}")
+        check_sample_grid(self.horizon, self.sample_interval)
         if self.swarm_budget < 1:
             raise ValueError(f"swarm_budget must be >= 1, got {self.swarm_budget}")
         if self.event_budget is not None and self.event_budget < 1:

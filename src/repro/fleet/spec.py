@@ -35,6 +35,7 @@ import numpy as np
 from ..core.parameters import SystemParameters
 from ..core.scenario import ScenarioSpec, base_params, make_scenario
 from ..simulation.rng import SeedLike
+from ..swarm.metrics import check_sample_grid
 
 #: ``SystemParameters`` fields a sampler may vary (all scalars; arrivals are
 #: the empty-handed flash-crowd mix at rate ``arrival_rate``).
@@ -238,8 +239,7 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if self.num_swarms < 1:
             raise ValueError(f"num_swarms must be >= 1, got {self.num_swarms}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        check_sample_grid(self.horizon, self.sample_interval)
         if self.backend not in ("object", "array"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of "

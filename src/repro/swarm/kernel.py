@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -892,13 +892,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             }
         return cache
 
-    def _batch_stage(
-        self,
-        horizon: float,
-        interval: float,
-        next_sample: float,
-        limit: Optional[int],
-    ) -> Tuple[int, float]:
+    def _batch_stage(self, limit: Optional[int]) -> int:
         """Consume a run of wasted peer ticks: a scalar walk, then numpy.
 
         A wasted peer tick — the dominant event in a captured (one-club)
@@ -954,16 +948,16 @@ class ArraySwarmKernel(_SwarmEventLoop):
         """
         n = self._n
         if n == 0:
-            return 0, next_sample
+            return 0
         if self._probe_skip:
             self._probe_skip -= 1
             self.probes_skipped += 1
-            return 0, next_sample
+            return 0
         draws = self.draws
         pos = draws._pos
         remaining = draws._len - pos
         if remaining < 2:
-            return 0, next_sample
+            return 0
         uniforms = draws._uniforms
         total = self._rate_total
         r01 = self._rate_r01
@@ -976,22 +970,20 @@ class ArraySwarmKernel(_SwarmEventLoop):
             if (selector <= r0 and self._thin_arrivals) or (
                 r0 < selector <= r01 and self._thin_seed
             ):
-                applied, next_sample = self._batch_thinned(
-                    horizon, interval, next_sample, limit
-                )
+                applied = self._batch_thinned(limit)
                 self.events_batched += applied
-                return applied, next_sample
-            return 0, next_sample
+                return applied
+            return 0
         if self._breaker_time == self._time:
             # The last batch stopped at this very peer tick, so it moves a
             # piece and a probe would find nothing.
             self.probes_skipped += 1
-            return 0, next_sample
+            return 0
         candidates = remaining >> 2
         if limit is not None and candidates > limit:
             candidates = limit
         if candidates <= 0:
-            return 0, next_sample
+            return 0
         self.probes_run += 1
         window = _PROBE_WINDOW if candidates > _PROBE_WINDOW else candidates
         masks = self._masks
@@ -1035,24 +1027,25 @@ class ArraySwarmKernel(_SwarmEventLoop):
         else:
             self._probe_backoff = 0
         if count == 0:
-            return 0, next_sample
+            return 0
         # Exact sequential clock walk over the accepted prefix: same
-        # accumulation order, grid recording and horizon comparison as the
-        # scalar loop (the exponentials are the block's precomputed
-        # inverse-transform values, so the doubles match too).
+        # accumulation order and horizon comparison as the scalar loop (the
+        # exponentials are the block's precomputed inverse-transform
+        # values, so the doubles match too).  The walk leaves the sampled
+        # state frozen, so the grid is recorded once, up to the last
+        # candidate it reached.
+        horizon = self._run_horizon
         scale = self._rate_scale
         time = self._time
-        record = self._record_sample
         applied = 0
         for exp_draw in draws.exp_view(4 * count)[::4].tolist():
             next_event_time = time + exp_draw * scale
-            while next_sample <= horizon and next_sample < next_event_time:
-                record(next_sample)
-                next_sample += interval
             if next_event_time > horizon:
                 break
             time = next_event_time
             applied += 1
+        if self._next_sample < next_event_time:
+            self._record_until(next_event_time)
         if count >= _PROBE_MIN_YIELD and applied == count < candidates:
             # Candidate ``count`` broke the run; the next entry starts there.
             self._breaker_time = time
@@ -1065,7 +1058,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 self.metrics.neighbor_useless_ticks += applied
             draws.advance(4 * applied)
             self.events_batched += applied
-        return applied, next_sample
+        return applied
 
     def _leading_wasted(self, candidates: int) -> int:
         """The number of leading wasted peer ticks among the next
@@ -1105,13 +1098,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         bad = np.flatnonzero(~ok)
         return int(bad[0]) if bad.size else candidates
 
-    def _batch_thinned(
-        self,
-        horizon: float,
-        interval: float,
-        next_sample: float,
-        limit: Optional[int],
-    ) -> Tuple[int, float]:
+    def _batch_thinned(self, limit: Optional[int]) -> int:
         """Consume a run of thinning-rejected scheduled-event candidates.
 
         Under a non-constant :class:`~repro.core.scenario.RateSchedule` the
@@ -1136,14 +1123,14 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if limit is not None and candidates > limit:
             candidates = limit
         if candidates <= 0:
-            return 0, next_sample
+            return 0
         r0 = self._rates[0]
         r01 = self._rate_r01
         total = self._rate_total
         thin_arrivals = self._thin_arrivals
         thin_seed = self._thin_seed
         scale = self._rate_scale
-        record = self._record_sample
+        horizon = self._run_horizon
 
         # Scalar probe walk: rejection runs are usually short (a surge
         # schedule at its peak accepts nearly everything), and the
@@ -1156,7 +1143,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         probe = candidates if candidates < 8 else 8
         chunk = draws.uniforms_view(3 * probe).tolist()
         exps = draws.exp_view(3 * probe).tolist()
-        time = self._time
+        time = next_event_time = self._time
         applied = 0
         streak = True
         for i in range(probe):
@@ -1181,20 +1168,21 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 # Accepted: left, draws untouched, for the scalar path.
                 streak = False
                 break
-            while next_sample <= horizon and next_sample < next_event_time:
-                record(next_sample)
-                next_sample += interval
             if next_event_time > horizon:
                 streak = False
                 break
             time = next_event_time
             applied += 1
+        # Rejections leave the sampled state frozen until the candidate the
+        # walk stopped at: record the grid once, up to its time.
+        if self._next_sample < next_event_time:
+            self._record_until(next_event_time)
         if applied:
             self._time = time
             self.metrics.thinned_events += applied
             draws.advance(3 * applied)
         if not streak or applied >= candidates:
-            return applied, next_sample
+            return applied
 
         # The whole probe was a rejected streak: this looks like a long run
         # (e.g. a seed outage rejecting every fixed-rate tick), so classify
@@ -1246,23 +1234,22 @@ class ArraySwarmKernel(_SwarmEventLoop):
 
         count = rejected_prefix(candidates)
         if count == 0:
-            return head, next_sample
+            return head
         time = start_time
         applied = 0
         for exp_draw in draws.exp_view(3 * count)[::3].tolist():
             next_event_time = time + exp_draw * scale
-            while next_sample <= horizon and next_sample < next_event_time:
-                record(next_sample)
-                next_sample += interval
             if next_event_time > horizon:
                 break
             time = next_event_time
             applied += 1
+        if self._next_sample < next_event_time:
+            self._record_until(next_event_time)
         if applied:
             self._time = time
             self.metrics.thinned_events += applied
             draws.advance(3 * applied)
-        return head + applied, next_sample
+        return head + applied
 
     # -- sampling ---------------------------------------------------------------
 
@@ -1287,50 +1274,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
             one_club=int(one_club.sum()),
             former_one_club=int(former.sum()),
         )
-
-    def _record_sample(self, sample_time: float) -> None:
-        snapshot = self._group_snapshot(sample_time) if self.track_groups else None
-        gossip = self._gossip
-        self.metrics.record_sample(
-            time=sample_time,
-            population=self._n,
-            num_seeds=self.num_seeds,
-            one_club_size=self._one_club_count,
-            min_piece_count=min(self._piece_counts.values()),
-            group_snapshot=snapshot,
-            census_error=(
-                gossip.mean_error(self._piece_counts, self._n)
-                if gossip is not None
-                else None
-            ),
-            census_staleness=(
-                gossip.mean_staleness(sample_time) if gossip is not None else None
-            ),
-        )
-
-    def _flush_samples(
-        self, next_sample: float, horizon: float, interval: float
-    ) -> float:
-        # The state is frozen for the whole trailing grid, so append it in
-        # bulk: the grid times are still generated by the same repeated
-        # addition as the scalar walk, the constant columns extended once.
-        # Group tracking snapshots per sample, so it keeps the scalar walk —
-        # as does a gossip census, whose staleness varies with the sample
-        # time (this trailing flush runs once per run, so it is not hot).
-        if self.track_groups or self._gossip is not None or next_sample > horizon:
-            return super()._flush_samples(next_sample, horizon, interval)
-        times: List[float] = []
-        while next_sample <= horizon:
-            times.append(next_sample)
-            next_sample += interval
-        count = len(times)
-        metrics = self.metrics
-        metrics.sample_times.extend(times)
-        metrics.population.extend([self._n] * count)
-        metrics.num_seeds.extend([self.num_seeds] * count)
-        metrics.one_club_size.extend([self._one_club_count] * count)
-        metrics.min_piece_count.extend([min(self._piece_counts.values())] * count)
-        return next_sample
 
 
 __all__ = ["ArraySwarmKernel"]

@@ -10,7 +10,8 @@ population, which the experiments use to classify runs as stable or unstable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -57,28 +58,39 @@ class SwarmMetrics:
 
     # -- recording -------------------------------------------------------------
 
-    def record_sample(
+    def record_samples(
         self,
-        time: float,
+        times: List[float],
         population: int,
         num_seeds: int,
         one_club_size: int,
         min_piece_count: int,
         group_snapshot: Optional[GroupSnapshot] = None,
         census_error: Optional[float] = None,
-        census_staleness: Optional[float] = None,
+        census_staleness: Optional[List[float]] = None,
     ) -> None:
-        self.sample_times.append(time)
-        self.population.append(population)
-        self.num_seeds.append(num_seeds)
-        self.one_club_size.append(one_club_size)
-        self.min_piece_count.append(min_piece_count)
+        """Append one row per grid time in ``times``, all of one frozen state.
+
+        The state cannot change between events, so the simulators record a
+        whole gap of the sample grid at once: the scalar columns are
+        extended with the same value, ``group_snapshot`` is re-timed to each
+        grid time, and ``census_staleness`` (which grows with the clock)
+        carries one value per time.
+        """
+        count = len(times)
+        self.sample_times.extend(times)
+        self.population.extend([population] * count)
+        self.num_seeds.extend([num_seeds] * count)
+        self.one_club_size.extend([one_club_size] * count)
+        self.min_piece_count.extend([min_piece_count] * count)
         if group_snapshot is not None:
-            self.group_snapshots.append(group_snapshot)
+            self.group_snapshots.extend(
+                replace(group_snapshot, time=time) for time in times
+            )
         if census_error is not None:
-            self.census_error.append(census_error)
+            self.census_error.extend([census_error] * count)
         if census_staleness is not None:
-            self.census_staleness.append(census_staleness)
+            self.census_staleness.extend(census_staleness)
 
     def record_departure(self, sojourn: float, download_time: Optional[float]) -> None:
         self.total_departures += 1
@@ -201,4 +213,13 @@ class SwarmMetrics:
         }
 
 
-__all__ = ["SwarmMetrics"]
+def check_sample_grid(horizon: float, sample_interval: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``horizon`` and ``sample_interval`` (when
+    given) are finite and positive: the sample grid steps from 0 to the
+    horizon by the interval, which any other value never ends or empties."""
+    for name, value in (("horizon", horizon), ("sample_interval", sample_interval)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+__all__ = ["SwarmMetrics", "check_sample_grid"]

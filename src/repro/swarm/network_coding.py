@@ -24,7 +24,7 @@ import numpy as np
 from ..coding.gf import PrimeField
 from ..coding.subspace import Subspace
 from ..simulation.rng import SeedLike, make_rng
-from .metrics import SwarmMetrics
+from .metrics import SwarmMetrics, check_sample_grid
 
 
 @dataclass
@@ -299,8 +299,8 @@ class CodedSwarmSimulator:
         return True
 
     def _record_sample(self, sample_time: float) -> None:
-        self.metrics.record_sample(
-            time=sample_time,
+        self.metrics.record_samples(
+            [sample_time],
             population=self.population,
             num_seeds=self.num_seeds,
             one_club_size=self.one_club_size(),
@@ -315,8 +315,7 @@ class CodedSwarmSimulator:
         max_population: Optional[int] = None,
     ) -> CodedSwarmResult:
         """Simulate until ``horizon`` with the same safety caps as the uncoded swarm."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        check_sample_grid(horizon, sample_interval)
         interval = sample_interval if sample_interval is not None else horizon / 200.0
         next_sample = 0.0
         events = 0

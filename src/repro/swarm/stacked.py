@@ -42,9 +42,12 @@ Structure
   :meth:`~StackedSwarmKernel._classify_windows` resolves every filed
   window with one set of numpy ops, and
   :meth:`~StackedSwarmKernel._apply_windows` applies each lane's
-  wasted-tick prefix.  A prefix shorter than its window marks the
-  candidate after it as the lane's breaker, which the lane's solo loop
-  then applies — or closes the run at the horizon — in the next round.
+  wasted-tick prefix, recording the lane's sample grid up to its new
+  clock through the solo driver's one grid walk
+  (``_SwarmEventLoop._record_until``).  A prefix shorter than its window
+  marks the candidate after it as the lane's breaker, which the lane's
+  solo loop then applies — or closes the run at the horizon — in the
+  next round.
 * Runs start, suspend and close through the solo driver's own
   ``_begin_run`` / ``_result``, so a finished lane's
   :class:`~repro.swarm.swarm.SwarmResult` is exactly what the solo loop
@@ -108,13 +111,7 @@ class _StackedLane(ArraySwarmKernel):
         if self._stack is not None:
             self._stack._adopt(self)
 
-    def _batch_stage(
-        self,
-        horizon: float,
-        interval: float,
-        next_sample: float,
-        limit: Optional[int],
-    ) -> Tuple[int, float]:
+    def _batch_stage(self, limit: Optional[int]) -> int:
         """File the lane's next window with the stack, or batch solo.
 
         While ``run_all`` drives the lane, a pending peer tick that is not
@@ -138,10 +135,8 @@ class _StackedLane(ArraySwarmKernel):
                 if limit is not None and width > limit:
                     width = limit
                 self._stack._windows.append((self, width))
-                return -1, next_sample
-        return ArraySwarmKernel._batch_stage(
-            self, horizon, interval, next_sample, limit
-        )
+                return -1
+        return ArraySwarmKernel._batch_stage(self, limit)
 
 
 def _clone_lane(template: _StackedLane, seed: SeedLike) -> _StackedLane:
@@ -464,13 +459,10 @@ class StackedSwarmKernel:
             k = applied[i]
             if k:
                 t_new = end_time[i]
-                # The solo loop's time-correct grid walk up to the new clock.
-                horizon = lane._run_horizon
-                next_sample = lane._next_sample
-                while next_sample <= horizon and next_sample < t_new:
-                    lane._record_sample(next_sample)
-                    next_sample += lane._run_interval
-                lane._next_sample = next_sample
+                # The solo loop's time-correct grid recording up to the new
+                # clock (wasted ticks leave the sampled state frozen).
+                if lane._next_sample < t_new:
+                    lane._record_until(t_new)
                 lane._time = t_new
                 lane.metrics.wasted_contacts += k
                 # Inline advance(4k): the window width was capped at

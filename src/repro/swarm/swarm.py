@@ -52,7 +52,7 @@ from ..simulation.rng import SeedLike, make_rng
 from .drawbuf import DrawBuffer
 from .gossip import CensusSpec, GossipCensus, GossipState, build_gossip
 from .groups import GroupSnapshot
-from .metrics import SwarmMetrics
+from .metrics import SwarmMetrics, check_sample_grid
 from .peer import Peer
 from .policies import (
     CensusSource,
@@ -139,7 +139,9 @@ class _SwarmEventLoop:
     * ``population`` / ``num_seeds`` properties,
     * ``_total_peer_tick_rate()`` — maintained incrementally,
     * the population mutators, each of which sets ``_rates_dirty`` (below),
-    * ``_record_sample(time)`` — metrics recording at grid points,
+    * ``one_club_size()``, the ``_piece_counts`` census and
+      ``_group_snapshot(time)`` — read by :meth:`_record_samples`, which
+      appends one frozen row for the grid times of a gap,
     * ``current_state()`` — the final :class:`SystemState` aggregation,
     * ``_handle_arrival`` / ``_handle_seed_tick`` / ``_handle_peer_tick`` /
       ``_handle_seed_departure``,
@@ -206,12 +208,12 @@ class _SwarmEventLoop:
     backend_name = "abstract"
 
     #: Flipped on by backends that implement the vectorized batching hook
-    #: ``_batch_stage(horizon, interval, next_sample, limit)``: apply
-    #: ``k >= 0`` events consuming exactly the scalar loop's draws, on a
-    #: clean rate cache they leave unchanged, record any crossed grid points
-    #: and return ``(k, next_sample)``; the first event not provably
-    #: state-neutral (or crossing ``horizon`` / ``limit``) is left unapplied.
-    #: A negative ``k`` (nothing applied) stops :meth:`_loop` early.
+    #: ``_batch_stage(limit)``: apply ``k >= 0`` events consuming exactly
+    #: the scalar loop's draws, on a clean rate cache they leave unchanged,
+    #: record any crossed grid points through :meth:`_record_until` and
+    #: return ``k``; the first event not provably state-neutral (or
+    #: crossing ``_run_horizon`` / ``limit``) is left unapplied.  A negative
+    #: ``k`` (nothing applied) stops :meth:`_loop` early.
     _batch_enabled = False
 
     # -- scenario plumbing -----------------------------------------------------
@@ -625,16 +627,14 @@ class _SwarmEventLoop:
         """Run a begun run's events; returns ``(horizon_reached,
         suspended)`` for :meth:`_result`.
 
-        The grid cursor and the event count are written back to
-        ``_next_sample`` / ``_events`` whenever the loop returns, so it can
-        be left and re-entered between any two events.  It returns early —
-        ``None``, the run still open — only when :meth:`_batch_stage`
-        reports a negative count, having applied nothing and consumed no
-        draw (stacked lanes file their windows this way, see
-        :mod:`repro.swarm.stacked`).
+        The grid cursor lives on the instance (see :meth:`_record_until`)
+        and the event count is written back to ``_events`` whenever the
+        loop returns, so it can be left and re-entered between any two
+        events.  It returns early — ``None``, the run still open — only
+        when :meth:`_batch_stage` reports a negative count, having applied
+        nothing and consumed no draw (stacked lanes file their windows this
+        way, see :mod:`repro.swarm.stacked`).
         """
-        interval = self._run_interval
-        next_sample = self._next_sample
         events = self._events
         horizon_reached = True
         suspended = False
@@ -672,12 +672,9 @@ class _SwarmEventLoop:
                 if max_events is not None:
                     remaining = max_events - events
                     limit = remaining if limit is None else min(limit, remaining)
-                applied, next_sample = self._batch_stage(
-                    horizon, interval, next_sample, limit
-                )
+                applied = self._batch_stage(limit)
                 if applied:
                     if applied < 0:
-                        self._next_sample = next_sample
                         self._events = events
                         return None
                     events += applied
@@ -702,18 +699,16 @@ class _SwarmEventLoop:
                 # event.  The consumed exponential is discarded (memoryless,
                 # so statistically exact) before the selector draw, and both
                 # backends take this exact path, preserving bit-identity.
-                while next_sample <= horizon and next_sample < cull_time:
-                    self._record_sample(next_sample)
-                    next_sample += interval
+                if self._next_sample < cull_time:
+                    self._record_until(cull_time)
                 self._time = cull_time
                 self._execute_cull()
                 events += 1
                 continue
             # The current population holds until the next event: record every
             # grid point in between before applying it (time-correct sampling).
-            while next_sample <= horizon and next_sample < next_event_time:
-                self._record_sample(next_sample)
-                next_sample += interval
+            if self._next_sample < next_event_time:
+                self._record_until(next_event_time)
             if next_event_time > horizon:
                 self._time = horizon
                 break
@@ -725,7 +720,6 @@ class _SwarmEventLoop:
             else:
                 self._apply_event(draws.next() * total)
             events += 1
-        self._next_sample = next_sample
         self._events = events
         return horizon_reached, suspended
 
@@ -742,10 +736,10 @@ class _SwarmEventLoop:
         sample grid (``sample_interval``, default ``horizon / 200``) and
         the cumulative event count.  A resumed run keeps its cursor and its
         own interval; the horizon must match and ``sample_interval``, when
-        given, must too.
+        given, must too.  ``horizon`` and ``sample_interval`` must be
+        finite and positive (see :func:`~repro.swarm.metrics.check_sample_grid`).
         """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        check_sample_grid(horizon, sample_interval)
         if resume:
             if not self._run_active:
                 raise RuntimeError(
@@ -779,9 +773,7 @@ class _SwarmEventLoop:
         """The run's :class:`SwarmResult`; a run that is not suspended is
         closed first (trailing sample grid flushed, no longer resumable)."""
         if not suspended:
-            self._next_sample = self._flush_samples(
-                self._next_sample, self._run_horizon, self._run_interval
-            )
+            self._record_until(math.inf)
             self._run_active = False
         return SwarmResult(
             metrics=self.metrics,
@@ -793,20 +785,51 @@ class _SwarmEventLoop:
             events_executed=self._events,
         )
 
-    def _flush_samples(
-        self, next_sample: float, horizon: float, interval: float
-    ) -> float:
-        """Record every remaining grid point up to ``horizon``.
+    def _record_until(self, until: float) -> None:
+        """Record the sample grid up to (excluding) ``until`` and move the
+        cursor past it.
 
-        Called once the event loop has ended with the state frozen for the
-        rest of the horizon; backends may override with a bulk append (the
-        grid times must still be generated by the same repeated addition,
-        so the recorded floats are bit-identical to the scalar walk).
+        The one walk of the grid: the times come from ``_next_sample`` by
+        repeated addition of the run's interval, bounded by the run's
+        horizon.  Callers only ever ask for grid points the current state
+        holds at (the clock has not passed ``until`` yet, or the run is
+        over), so :meth:`_record_samples` records them all as one frozen
+        row.  The hot callers guard with ``self._next_sample < until``.
         """
-        while next_sample <= horizon:
-            self._record_sample(next_sample)
-            next_sample += interval
-        return next_sample
+        horizon = self._run_horizon
+        interval = self._run_interval
+        sample = self._next_sample
+        times = []
+        while sample <= horizon and sample < until:
+            times.append(sample)
+            sample += interval
+        self._next_sample = sample
+        if times:
+            self._record_samples(times)
+
+    def _record_samples(self, times: List[float]) -> None:
+        """Append the current state's row at every grid time in ``times``."""
+        gossip = self._gossip
+        self.metrics.record_samples(
+            times,
+            population=self.population,
+            num_seeds=self.num_seeds,
+            one_club_size=self.one_club_size(),
+            min_piece_count=min(self._piece_counts.values()),
+            group_snapshot=(
+                self._group_snapshot(times[0]) if self.track_groups else None
+            ),
+            census_error=(
+                gossip.mean_error(self._piece_counts, self.population)
+                if gossip is not None
+                else None
+            ),
+            census_staleness=(
+                [gossip.mean_staleness(time) for time in times]
+                if gossip is not None
+                else None
+            ),
+        )
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -1362,30 +1385,8 @@ class SwarmSimulator(_SwarmEventLoop):
         peer = self._peers[self._seeds[index]]
         self._remove_peer(peer)
 
-    def _record_sample(self, sample_time: float) -> None:
-        snapshot = None
-        if self.track_groups:
-            snapshot = GroupSnapshot.from_peers(
-                sample_time, self.peers(), rare_piece=self.rare_piece
-            )
-        occupied = [count for count in self._piece_counts.values()]
-        gossip = self._gossip
-        self.metrics.record_sample(
-            time=sample_time,
-            population=self.population,
-            num_seeds=self.num_seeds,
-            one_club_size=self.one_club_size(),
-            min_piece_count=min(occupied) if occupied else 0,
-            group_snapshot=snapshot,
-            census_error=(
-                gossip.mean_error(self._piece_counts, self.population)
-                if gossip is not None
-                else None
-            ),
-            census_staleness=(
-                gossip.mean_staleness(sample_time) if gossip is not None else None
-            ),
-        )
+    def _group_snapshot(self, time: float) -> GroupSnapshot:
+        return GroupSnapshot.from_peers(time, self.peers(), rare_piece=self.rare_piece)
 
 
 #: Names of the available simulation backends (see :func:`make_simulator`).

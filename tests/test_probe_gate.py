@@ -208,12 +208,12 @@ def _walk_run(point, backend):
 
         def counted(*args):
             probes, escalated = simulator.probes_run, simulator.probes_escalated
-            applied, next_sample = stage(*args)
+            applied = stage(*args)
             if simulator.probes_escalated > escalated:
                 batches["escalated"] += 1
             elif simulator.probes_run > probes and applied:
                 batches["walk"] += 1
-            return applied, next_sample
+            return applied
 
         simulator._batch_stage = counted
     result = simulator.run(

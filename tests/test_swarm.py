@@ -8,9 +8,11 @@ import pytest
 from repro.core.parameters import SystemParameters
 from repro.core.state import SystemState
 from repro.core.types import PieceSet
+from repro.fleet import AdaptiveFleetSpec, FleetSpec
 from repro.swarm.metrics import SwarmMetrics
+from repro.swarm.network_coding import CodedArrivalSpec, CodedSwarmSimulator
 from repro.swarm.policies import RarestFirstSelection
-from repro.swarm.swarm import SwarmSimulator, run_swarm
+from repro.swarm.swarm import BACKENDS, SwarmSimulator, run_swarm
 
 
 class TestMechanics:
@@ -91,6 +93,44 @@ class TestMechanics:
         first = run_swarm(flash_crowd_stable, horizon=40.0, seed=1)
         second = run_swarm(flash_crowd_stable, horizon=40.0, seed=2)
         assert first.metrics.population != second.metrics.population
+
+
+#: Grid inputs that would hang a run (a zero, negative or infinite walk)
+#: or leave it without a single sample (a NaN horizon).
+BAD_GRIDS = [
+    pytest.param({"horizon": 10.0, "sample_interval": 0.0}, id="interval-zero"),
+    pytest.param({"horizon": 10.0, "sample_interval": -1.0}, id="interval-negative"),
+    pytest.param(
+        {"horizon": 10.0, "sample_interval": math.inf}, id="interval-infinite"
+    ),
+    pytest.param({"horizon": 10.0, "sample_interval": math.nan}, id="interval-nan"),
+    pytest.param({"horizon": math.inf}, id="horizon-infinite"),
+    pytest.param({"horizon": math.nan}, id="horizon-nan"),
+    pytest.param({"horizon": -1.0}, id="horizon-negative"),
+]
+
+
+class TestSampleGridValidation:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_run_rejects_the_grid(self, flash_crowd_stable, backend, grid):
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_swarm(
+                flash_crowd_stable, seed=0, backend=backend, max_events=500, **grid
+            )
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_fleet_specs_reject_the_grid(self, grid):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FleetSpec(name="bad-grid", num_swarms=2, **grid)
+        with pytest.raises(ValueError, match="finite and positive"):
+            AdaptiveFleetSpec.of("bad-grid", (1.0, 2.0), (1.0, 2.0), **grid)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_coded_run_rejects_the_grid(self, grid):
+        simulator = CodedSwarmSimulator(2, 5, [CodedArrivalSpec(1.0)], seed=0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulator.run(max_events=500, **grid)
 
 
 class TestSamplingAndMetrics:
