@@ -21,8 +21,8 @@ With ``--stacked`` the script profiles the *fleet* workload
 solo kernel — the phase table then splits the stacked round loop into its
 three steps (per-lane advance through the lane's solo loop, window
 classification, window apply) and lists the work they nest — the solo batch
-stage, scalar dispatch, thinned batches, block refills, sampling, the
-heterogeneous ticker walk — below them.  ``--events`` caps
+stage, scalar dispatch, block refills, sampling, the heterogeneous ticker
+walk — below them.  ``--events`` caps
 every lane and ``--block-size`` sets every lane's draw block; the workload
 flags and ``--backend object`` do not apply to the fleet workload.
 
@@ -268,11 +268,10 @@ def run_stacked_phase_table(args) -> None:
     ]
     nested = [
         # Lanes run their solo loop inside ``_advance``: this row is the
-        # solo batch stage behind each lane's window filing (thinned and
-        # overlay batches, breaker skips), with thinned batches nested in it.
+        # solo batch stage behind each lane's window filing (overlay
+        # batches, breaker skips).
         (ArraySwarmKernel, "_batch_stage", "solo batch stage"),
         (_SwarmEventLoop, "_apply_event", "scalar dispatch"),
-        (ArraySwarmKernel, "_batch_thinned", "thinned batch"),
         (DrawBuffer, "_refill", "draw (block refill)"),
         (_SwarmEventLoop, "_record_until", "census (sampling)"),
         (ArraySwarmKernel, "_batch_hetero_tickers", "hetero ticker walk"),

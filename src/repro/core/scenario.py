@@ -40,7 +40,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -51,8 +50,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from .parameters import SystemParameters
 from .types import PieceSet
@@ -108,26 +105,6 @@ class RateSchedule:
         for negative times)."""
         index = bisect.bisect_right(self.times, time) - 1
         return self.values[max(index, 0)]
-
-    @cached_property
-    def _times_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=np.float64)
-
-    @cached_property
-    def _values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    def values_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value_at` over an array of query times.
-
-        ``searchsorted(..., side="right") - 1`` (clamped at the first
-        segment) walks the same table with the same tie-breaking as the
-        scalar ``bisect_right`` lookup, so batched thinning decisions read
-        the exact factors the scalar event loop would.
-        """
-        index = np.searchsorted(self._times_array, times, side="right") - 1
-        np.maximum(index, 0, out=index)
-        return self._values_array[index]
 
     @property
     def max_value(self) -> float:

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .faults import FaultState, InjectedCheckpointCrash, corrupt_file_bytes
+from .persistence import _fsync_dir
 
 #: Version tag of the checkpoint payload layout; :func:`load_checkpoint`
 #: accepts only this format.  The in-flight kernel snapshot is opaque to
@@ -107,20 +108,6 @@ class FleetCheckpoint:
     def log_path(self, checkpoint_path: Union[str, Path]) -> Path:
         """Resolve the paired log against the checkpoint's directory."""
         return Path(checkpoint_path).parent / self.log_name
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Fsync a directory so a rename is durable (best-effort on exotic FS)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def save_checkpoint(

@@ -80,11 +80,8 @@ class DrawBuffer:
     Python floats read straight out of the block (no per-draw Generator
     call); the view accessors (:meth:`uniforms_view`, :meth:`exp_view`,
     :meth:`advance`) expose the same pending draws as numpy arrays for the
-    array kernel's vectorized batch stage, and the peek accessors
-    (:meth:`peek_uniform`, :meth:`peek_exp`) read ahead without consuming,
-    for classifiers that decide *how* to consume before consuming.  All
-    interfaces read the same positions of the same stream, so mixing them
-    freely is safe.
+    array kernel's vectorized batch stage.  All interfaces read the same
+    positions of the same stream, so mixing them freely is safe.
 
     The object is also duck-compatible with the slice of the Generator API
     the built-in piece-selection policies use (``integers`` / ``random`` /
@@ -218,21 +215,6 @@ class DrawBuffer:
                 f"cannot advance {count} draws: {self.remaining()} pending"
             )
         self._pos = position
-
-    # -- peeks (classify before consuming) -------------------------------------
-
-    def peek_uniform(self, offset: int = 0) -> float:
-        """The pending uniform ``offset`` positions ahead, *not* consumed.
-
-        The caller must guarantee ``remaining() > offset``; peeking never
-        refills (a refill would discard the un-consumed remainder and break
-        the fixed block boundaries of the stream).
-        """
-        return self._uniforms.item(self._pos + offset)
-
-    def peek_exp(self, offset: int = 0) -> float:
-        """``-log1p(-u)`` of the uniform ``offset`` ahead, *not* consumed."""
-        return self._exp.item(self._pos + offset)
 
     # -- snapshots -------------------------------------------------------------
 

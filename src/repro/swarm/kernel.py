@@ -44,18 +44,20 @@ that completes nobody (the stable regime's dominant event) keeps the cache
 clean and draws its ticker and target rows inline.
 
 On top of the scalar handlers the kernel adds a **batch stage**
-(:meth:`_batch_stage`): runs of state-neutral events — wasted peer ticks,
-the dominant event of a captured swarm — are classified against the pending
-draw block and applied wholesale, consuming exactly the draws the scalar
-loop would, so the batching is invisible in the trajectory (enforced at
-``DRAW_BLOCK_SIZE=1`` vs. default in CI).  Short runs are classified by a
-scalar walk, long ones with numpy array ops.  A yield gate backs the stage
-off after unproductive probes, so transfer-heavy (stable-regime) swarms do
-not pay a failed probe before nearly every scalar event.
+(:meth:`_batch_stage`): runs of wasted peer ticks — the dominant event of a
+captured swarm, and the one kind of event it batches — are classified
+against the pending draw block and applied wholesale, consuming exactly the
+draws the scalar loop would, so the batching is invisible in the trajectory
+(enforced at ``DRAW_BLOCK_SIZE=1`` vs. default in CI).  Short runs are
+classified by a scalar walk, long ones with numpy array ops.  A yield gate
+backs the stage off after unproductive probes, so transfer-heavy
+(stable-regime) swarms do not pay a failed probe before nearly every scalar
+event.
 
 The contract extends to declarative scenarios
 (:class:`~repro.core.scenario.ScenarioSpec`): rate schedules thin in the
-shared driver, and heterogeneous peer classes add a ``_class_idx`` column
+shared driver — every scheduled candidate, accepted or rejected, takes the
+scalar path — and heterogeneous peer classes add a ``_class_idx`` column
 plus per-class member/seed/sped row lists mirroring the object simulator's
 per-class id lists, so scenario runs stay bit-identical across backends too.
 
@@ -805,8 +807,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         #: Probes run, batch-stage entries that skipped their probe (gate
         #: back-off or a known breaker), probes whose scalar walk filled
         #: ``_PROBE_WINDOW`` and escalated to the array classification, and
-        #: events applied by the batch stage (wasted ticks and thinned
-        #: candidates).
+        #: wasted ticks applied by the batch stage.
         self.probes_run = 0
         self.probes_skipped = 0
         self.probes_escalated = 0
@@ -924,11 +925,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
         over the whole pending block, which is what keeps the long runs of
         a large captured swarm cheap.
 
-        A second state-neutral family — thinning-*rejected* arrival and
-        fixed-seed-tick candidates under a scheduled (non-constant) rate,
-        a fixed three-draw stride — dispatches to :meth:`_batch_thinned`,
-        so scenario workloads batch past the first thinned candidate too.
-
         **Yield gate.**  In the stable regime most contacts move a piece, so
         the walk nearly always stops at its first candidate.  Even that
         costs a call and block reads per entry on top of the scalar event
@@ -962,17 +958,10 @@ class ArraySwarmKernel(_SwarmEventLoop):
         total = self._rate_total
         r01 = self._rate_r01
         r012 = self._rate_r012
-        # The walk's first step, candidate 0's event type, also routes the
+        # The walk's first step, candidate 0's event type, also gates the
         # entry: anything but a peer tick leaves before a probe is counted.
         selector = uniforms.item(pos + 1) * total
         if not r01 < selector <= r012:
-            r0 = self._rates[0]
-            if (selector <= r0 and self._thin_arrivals) or (
-                r0 < selector <= r01 and self._thin_seed
-            ):
-                applied = self._batch_thinned(limit)
-                self.events_batched += applied
-                return applied
             return 0
         if self._breaker_time == self._time:
             # The last batch stopped at this very peer tick, so it moves a
@@ -1097,159 +1086,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
             ok = is_peer_tick & ((ticker == target) | useless)
         bad = np.flatnonzero(~ok)
         return int(bad[0]) if bad.size else candidates
-
-    def _batch_thinned(self, limit: Optional[int]) -> int:
-        """Consume a run of thinning-rejected scheduled-event candidates.
-
-        Under a non-constant :class:`~repro.core.scenario.RateSchedule` the
-        aggregate loop dispatches *candidate* arrivals (and fixed-seed
-        ticks) at the thinning bound; a candidate that the acceptance draw
-        rejects consumes exactly three buffered draws — inter-event
-        exponential, event-type selector, thinning-acceptance uniform — and
-        mutates nothing but the clock and ``metrics.thinned_events``, so
-        rates stay constant across any run of rejections.  The stage
-        classifies the pending block in groups of three: candidate event
-        times via the same sequential clock accumulation as the scalar
-        loop, schedule factors via the vectorized
-        :meth:`~repro.core.scenario.RateSchedule.values_at` (same table
-        walk as ``value_at``), and the rejection test ``bound · u ≥
-        value_at(t)`` — the exact complement of ``_thin_accept``.  The
-        first accepted candidate, non-thinnable event type, or
-        horizon-crossing candidate is left, draws untouched, for the
-        scalar path, so trajectories stay bit-identical.
-        """
-        draws = self.draws
-        candidates = draws.remaining() // 3
-        if limit is not None and candidates > limit:
-            candidates = limit
-        if candidates <= 0:
-            return 0
-        r0 = self._rates[0]
-        r01 = self._rate_r01
-        total = self._rate_total
-        thin_arrivals = self._thin_arrivals
-        thin_seed = self._thin_seed
-        scale = self._rate_scale
-        horizon = self._run_horizon
-
-        # Scalar probe walk: rejection runs are usually short (a surge
-        # schedule at its peak accepts nearly everything), and the
-        # vectorized classification below costs ~20x a handful of scalar
-        # acceptance tests.  Each candidate reads the same three doubles —
-        # inter-event exponential, type selector, acceptance uniform — with
-        # the same left-fold clock accumulation as both the scalar loop and
-        # the vectorized ``cumsum`` times, and ``value_at`` equals
-        # ``values_at`` element-wise, so the hand-off is bit-exact.
-        probe = candidates if candidates < 8 else 8
-        chunk = draws.uniforms_view(3 * probe).tolist()
-        exps = draws.exp_view(3 * probe).tolist()
-        time = next_event_time = self._time
-        applied = 0
-        streak = True
-        for i in range(probe):
-            selector = chunk[3 * i + 1] * total
-            if selector <= r0:
-                if not thin_arrivals:
-                    streak = False
-                    break
-                schedule = self._arrival_schedule
-                bound = self._arrival_bound
-            elif selector <= r01:
-                if not thin_seed:
-                    streak = False
-                    break
-                schedule = self._seed_schedule
-                bound = self._seed_bound
-            else:
-                streak = False
-                break
-            next_event_time = time + exps[3 * i] * scale
-            if bound * chunk[3 * i + 2] < schedule.value_at(next_event_time):
-                # Accepted: left, draws untouched, for the scalar path.
-                streak = False
-                break
-            if next_event_time > horizon:
-                streak = False
-                break
-            time = next_event_time
-            applied += 1
-        # Rejections leave the sampled state frozen until the candidate the
-        # walk stopped at: record the grid once, up to its time.
-        if self._next_sample < next_event_time:
-            self._record_until(next_event_time)
-        if applied:
-            self._time = time
-            self.metrics.thinned_events += applied
-            draws.advance(3 * applied)
-        if not streak or applied >= candidates:
-            return applied
-
-        # The whole probe was a rejected streak: this looks like a long run
-        # (e.g. a seed outage rejecting every fixed-rate tick), so classify
-        # the rest of the pending block vectorially from the new position.
-        head = applied
-        candidates -= applied
-        start_time = time
-
-        def rejected_prefix(window: int) -> int:
-            chunk = draws.uniforms_view(3 * window)
-            selector = chunk[1::3] * total
-            is_arrival = selector <= r0
-            is_seed_tick = (selector > r0) & (selector <= r01)
-            if not thin_arrivals:
-                thinnable = is_seed_tick
-            elif not thin_seed:
-                thinnable = is_arrival
-            else:
-                thinnable = is_arrival | is_seed_tick
-            stop = np.flatnonzero(~thinnable)
-            prefix = int(stop[0]) if stop.size else window
-            if prefix == 0:
-                return 0
-            # Candidate event times: the same left-fold accumulation (and
-            # the same precomputed inverse-transform doubles) as the scalar
-            # clock walk, so value_at lookups see identical times.
-            steps = np.empty(prefix + 1, dtype=np.float64)
-            steps[0] = start_time
-            np.multiply(draws.exp_view(3 * prefix)[::3], scale, out=steps[1:])
-            times = np.cumsum(steps)[1:]
-            accept_u = chunk[2::3][:prefix]
-            rejected = np.zeros(prefix, dtype=bool)
-            if thin_arrivals:
-                arrival_rows = is_arrival[:prefix]
-                if arrival_rows.any():
-                    values = self._arrival_schedule.values_at(times[arrival_rows])
-                    rejected[arrival_rows] = (
-                        self._arrival_bound * accept_u[arrival_rows] >= values
-                    )
-            if thin_seed:
-                seed_rows = is_seed_tick[:prefix]
-                if seed_rows.any():
-                    values = self._seed_schedule.values_at(times[seed_rows])
-                    rejected[seed_rows] = (
-                        self._seed_bound * accept_u[seed_rows] >= values
-                    )
-            accepted = np.flatnonzero(~rejected)
-            return int(accepted[0]) if accepted.size else prefix
-
-        count = rejected_prefix(candidates)
-        if count == 0:
-            return head
-        time = start_time
-        applied = 0
-        for exp_draw in draws.exp_view(3 * count)[::3].tolist():
-            next_event_time = time + exp_draw * scale
-            if next_event_time > horizon:
-                break
-            time = next_event_time
-            applied += 1
-        if self._next_sample < next_event_time:
-            self._record_until(next_event_time)
-        if applied:
-            self._time = time
-            self.metrics.thinned_events += applied
-            draws.advance(3 * applied)
-        return head + applied
 
     # -- sampling ---------------------------------------------------------------
 

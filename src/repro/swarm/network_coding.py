@@ -298,14 +298,28 @@ class CodedSwarmSimulator:
         self._apply_event(rates)
         return True
 
-    def _record_sample(self, sample_time: float) -> None:
-        self.metrics.record_samples(
-            [sample_time],
-            population=self.population,
-            num_seeds=self.num_seeds,
-            one_club_size=self.one_club_size(),
-            min_piece_count=self.min_dimension(),
-        )
+    def _record_until(
+        self, sample: float, until: float, horizon: float, interval: float
+    ) -> float:
+        """Record the grid points from ``sample`` up to (excluding)
+        ``until`` and the horizon; returns the next grid point.
+
+        The state is frozen between events, so the row is built once per
+        gap and appended at every grid time in it.
+        """
+        times = []
+        while sample <= horizon and sample < until:
+            times.append(sample)
+            sample += interval
+        if times:
+            self.metrics.record_samples(
+                times,
+                population=self.population,
+                num_seeds=self.num_seeds,
+                one_club_size=self.one_club_size(),
+                min_piece_count=self.min_dimension(),
+            )
+        return sample
 
     def run(
         self,
@@ -334,18 +348,17 @@ class CodedSwarmSimulator:
                 break
             next_event_time = self._time + float(self.rng.exponential(1.0 / total))
             # Record grid points falling before the next event (time-correct).
-            while next_sample <= horizon and next_sample < next_event_time:
-                self._record_sample(next_sample)
-                next_sample += interval
+            if next_sample < next_event_time:
+                next_sample = self._record_until(
+                    next_sample, next_event_time, horizon, interval
+                )
             if next_event_time > horizon:
                 self._time = horizon
                 break
             self._time = next_event_time
             self._apply_event(rates)
             events += 1
-        while next_sample <= horizon:
-            self._record_sample(next_sample)
-            next_sample += interval
+        self._record_until(next_sample, math.inf, horizon, interval)
         return CodedSwarmResult(
             metrics=self.metrics,
             final_time=self._time,

@@ -35,10 +35,10 @@ Structure
   transient).
 * A round has three steps.  :meth:`StackedSwarmKernel._advance` re-enters
   a lane's solo loop (``_SwarmEventLoop._loop``): caps, rate cache, cull,
-  horizon, block refills, thinned batches, overlay batches and every
-  scalar event are the solo code.  The lane's ``_batch_stage`` override
-  stops that loop when its next candidate is a peer tick and files the
-  lane's window into the round instead.
+  horizon, block refills, overlay batches and every scalar event are the
+  solo code.  The lane's ``_batch_stage`` override stops that loop when
+  its next candidate is a peer tick and files the lane's window into the
+  round instead.
   :meth:`~StackedSwarmKernel._classify_windows` resolves every filed
   window with one set of numpy ops, and
   :meth:`~StackedSwarmKernel._apply_windows` applies each lane's
@@ -118,8 +118,9 @@ class _StackedLane(ArraySwarmKernel):
         a known breaker (``_breaker_time``) and fits a window of at least
         one four-draw group is filed into the round's windows; the negative
         count then stops the lane's solo loop, draws untouched.  Every
-        other entry — thinned candidates, breakers, blocks too small for a
-        window, lanes outside ``run_all`` — is the solo batch stage.
+        other entry — a candidate that is not a peer tick, a breaker, a block
+        too small for a window, a lane outside ``run_all`` — is the solo
+        batch stage.
         """
         if self._stk_windowable and self._breaker_time != self._time:
             draws = self.draws

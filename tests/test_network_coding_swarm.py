@@ -1,5 +1,6 @@
 """Tests for the network-coded swarm simulator (Theorem 15)."""
 
+import bisect
 import math
 
 import pytest
@@ -130,3 +131,74 @@ class TestDynamics:
         )
         with pytest.raises(ValueError):
             simulator.run(horizon=-1.0)
+
+
+class TestSampleGrid:
+    """Every sampled row holds the state of its gap between events.
+
+    A twin from the same seed is stepped one event at a time with
+    ``step()``, which draws exactly what ``run`` draws per event; the state
+    is read between steps with the public accessors.  The row at grid time
+    ``t`` must hold the state after every event at or before ``t`` (after
+    the capped event count for the trailing flush of a capped run).
+    """
+
+    HORIZON = 30.0
+    INTERVAL = 0.7
+    CAP = 120
+
+    @staticmethod
+    def _simulator():
+        return CodedSwarmSimulator(
+            num_pieces=4,
+            field_size=3,
+            arrivals=gifted_fraction_arrivals(2.0, 0.2),
+            seed_rate=0.5,
+            seed_departure_rate=0.8,
+            seed=12,
+        )
+
+    @pytest.mark.parametrize("end", ["horizon", "flush"])
+    def test_rows_hold_the_state_of_their_gap(self, end):
+        max_events = self.CAP if end == "flush" else None
+        result = self._simulator().run(
+            self.HORIZON, sample_interval=self.INTERVAL, max_events=max_events
+        )
+        assert result.horizon_reached == (end == "horizon")
+
+        twin = self._simulator()
+        clocks, states = [], []
+        while True:
+            clocks.append(twin._time)
+            states.append(
+                (
+                    twin.population,
+                    twin.num_seeds,
+                    twin.one_club_size(),
+                    twin.min_dimension(),
+                )
+            )
+            if twin._time > self.HORIZON or (end == "flush" and len(states) > self.CAP):
+                break
+            if not twin.step():
+                clocks.append(math.inf)
+                break
+
+        metrics = result.metrics
+        grid, time = [], 0.0
+        while time <= self.HORIZON:
+            grid.append(time)
+            time += self.INTERVAL
+        assert metrics.sample_times == grid
+        for index, time in enumerate(grid):
+            segment = bisect.bisect_right(clocks, time) - 1
+            if max_events is not None:
+                segment = min(segment, max_events)
+            row = (
+                metrics.population[index],
+                metrics.num_seeds[index],
+                metrics.one_club_size[index],
+                metrics.min_piece_count[index],
+            )
+            assert row == states[segment], (index, time)
+        assert len(set(metrics.population)) > 3

@@ -22,6 +22,11 @@ escalate to the array classification; both must leave the trajectory as the
 object backend draws it.  The vector ticker pick of the escalated path is
 checked against the scalar segment pick the walk shares with the dispatch.
 
+The same walk runs on two scheduled captured points (flash crowd, seed
+outage), where thinning-rejected candidates interrupt the runs of wasted
+ticks; the stage leaves them to the scalar loop and batches wasted ticks
+only.
+
 The file also runs under ``DRAW_BLOCK_SIZE=1`` in CI, where the reference
 runs use scalar draws.
 """
@@ -191,12 +196,18 @@ WALK_POINTS = {
     "free-rider": (None, make_scenario("free-rider", **WALK_RATES)),
     "sparse-overlay": (None, make_scenario("sparse-overlay", **WALK_RATES)),
 }
+#: Captured points under a rate schedule: thinning-rejected candidates break
+#: the runs of wasted ticks and take the scalar path.
+THINNED_POINTS = {
+    name: (None, make_scenario(name, **WALK_RATES))
+    for name in ("flash-crowd", "seed-outage")
+}
 
 
 def _walk_run(point, backend):
     """One run of a walk point; for the array backend also the number of
     batches that ended inside the walk and of probes that escalated."""
-    params, scenario = WALK_POINTS[point]
+    params, scenario = {**WALK_POINTS, **THINNED_POINTS}[point]
     params = params if scenario is None else scenario.params
     kwargs = {"draw_block_size": DEFAULT_BLOCK_SIZE} if backend == "array" else {}
     simulator = make_simulator(
@@ -234,6 +245,19 @@ def test_walk_and_escalation_keep_the_trajectory(point):
     assert batches["walk"] > 0
     assert batches["escalated"] > 0
     assert batches["escalated"] == kernel.probes_escalated
+
+
+@pytest.mark.parametrize("point", sorted(THINNED_POINTS))
+def test_thinned_candidates_take_the_scalar_path(point):
+    """Under a schedule the batch stage still batches wasted ticks only:
+    the thinned candidates between its runs are the scalar loop's."""
+    _, reference, _ = _walk_run(point, "object")
+    kernel, result, batches = _walk_run(point, "array")
+    _assert_same_run(result, reference)
+    assert result.metrics.thinned_events > 0
+    assert batches["walk"] > 0
+    assert batches["escalated"] > 0
+    assert kernel.events_batched <= result.metrics.wasted_contacts
 
 
 def test_batch_stage_counts_are_pinned():
