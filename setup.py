@@ -1,11 +1,24 @@
-"""Setup shim for legacy editable installs (``pip install -e . --no-use-pep517``).
+"""Setup script for an in-place install of the ``repro`` package.
 
-The execution environment has no ``wheel`` package and no network access, so
-PEP 660 editable installs (which build a wheel) are unavailable; this shim
-lets ``setup.py develop`` handle ``pip install -e .`` instead.  All project
-metadata lives in ``pyproject.toml``.
+``python setup.py develop`` installs the package from ``src/`` without
+building a wheel, so it works offline and without the ``wheel`` package,
+which ``pip install -e .`` needs.  Without an install, run from the source
+tree with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

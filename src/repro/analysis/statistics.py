@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,8 @@ def mean_confidence_interval(
     samples: Sequence[float], confidence: float = 0.95
 ) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of i.i.d. samples."""
+    from scipy import stats
+
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise ValueError("need at least one sample")

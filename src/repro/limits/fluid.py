@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..core.parameters import SystemParameters
 from ..core.types import PieceSet, all_types, canonical_type_order
@@ -112,6 +111,8 @@ class FluidModel:
         atol: float = 1e-8,
     ) -> FluidTrajectory:
         """Integrate the fluid ODE on ``[0, horizon]``."""
+        from scipy.integrate import solve_ivp
+
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         x0 = np.zeros(len(self.type_order))

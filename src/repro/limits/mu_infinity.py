@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import nbinom
 
 from ..simulation.ctmc import GenericCtmcSimulator
 from ..simulation.rng import SeedLike, make_rng
@@ -41,6 +40,8 @@ MuInfinityState = Tuple[int, int]  # (population, common number of pieces)
 
 def negative_binomial_pmf(num_tails: int, num_heads: int) -> float:
     """P{exactly ``num_heads`` heads occur before the ``num_tails``-th tail}."""
+    from scipy.stats import nbinom
+
     if num_tails < 1 or num_heads < 0:
         raise ValueError("num_tails must be >= 1 and num_heads >= 0")
     return float(nbinom.pmf(num_heads, num_tails, 0.5))

@@ -6,11 +6,14 @@ the exact truncated-chain analysis and by the µ = ∞ watched-chain experiments
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy is imported inside the functions that use it, so that importing the
+# package entry points never loads it (pinned by tests/test_imports.py).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 StateT = TypeVar("StateT", bound=Hashable)
 
@@ -26,6 +29,8 @@ def build_generator(
     ``absorb_unknown`` is True (finite-buffer truncation), otherwise a
     ``KeyError`` is raised.
     """
+    import scipy.sparse as sp
+
     index = {state: i for i, state in enumerate(states)}
     rows: List[int] = []
     cols: List[int] = []
@@ -74,6 +79,9 @@ def expected_hitting_times(
     Solves ``Q_B h = −1`` on the complement ``B`` of the target set; entries
     for target states are zero.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     size = generator.shape[0]
     targets = set(int(i) for i in target_indices)
     others = [i for i in range(size) if i not in targets]
@@ -95,6 +103,8 @@ def uniformized_transition_matrix(
 
     Returns the discrete-time kernel and the rate ``Λ`` used.
     """
+    import scipy.sparse as sp
+
     csr = generator.tocsr()
     diagonal = -csr.diagonal()
     max_rate = float(diagonal.max()) if diagonal.size else 0.0
