@@ -19,17 +19,17 @@ dual-kernel runner into a phase-diagram machine:
   ``(λ, U_s, scenario)`` candidates by Beta-posterior uncertainty, with a
   boundary-stability stopping rule — one round per acquisition step on the
   same loop, so the same determinism and resume contract;
-* :mod:`repro.fleet.persistence` — the streaming JSONL fleet log (one
-  schema-versioned, CRC32-checksummed record per completed swarm, fsync'd
-  batches, live ``tail -f``, segment rotation and census compaction,
-  salvage-mode reads, :meth:`FleetResult.from_log` reconstruction);
+* :mod:`repro.fleet.persistence` — the streaming JSONL fleet log, one
+  append-only file per run (one schema-versioned, CRC32-checksummed record
+  per completed swarm, fsync'd batches, live ``tail -f``, salvage-mode
+  reads, :meth:`FleetResult.from_log` reconstruction);
 * :mod:`repro.fleet.result` — :class:`FleetSwarmRecord` and the incremental
   :class:`FleetResult` census (one-club prevalence, sojourn/download
   distributions, Theorem-1-vs-outcome confusion counts, per-scenario
   breakdown, ``failed`` records from exhausted retries);
 * :mod:`repro.fleet.checkpoint` — the crash-atomic pickle checkpoint format
-  (a ``(segment, byte offset)`` pointer into the JSONL log + the in-flight
-  kernel snapshot, with a ``.bak`` fallback copy);
+  (a byte-offset pointer into the JSONL log + the in-flight kernel
+  snapshot, with a ``.bak`` fallback copy);
 * :mod:`repro.fleet.faults` — the deterministic fault-injection harness
   (:class:`FaultPlan`): planned worker crashes, task errors, torn appends,
   failed fsyncs, corrupted checkpoints and SIGKILL points for chaos tests.
@@ -71,7 +71,6 @@ from .persistence import (
     FleetLogError,
     FleetLogHeader,
     FleetLogWriter,
-    compact_log,
     read_log,
     tail_summary,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "SwarmTask",
     "WORKER_CRASH_EXIT_CODE",
     "beta_mean_variance",
-    "compact_log",
     "default_log_path",
     "failure_record",
     "load_checkpoint",

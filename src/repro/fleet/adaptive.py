@@ -707,8 +707,6 @@ def run_adaptive_fleet(
     max_retries: int = 0,
     task_timeout: Optional[float] = None,
     retry_backoff: float = 0.0,
-    rotate_every: Optional[int] = None,
-    compact_after: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> AdaptiveFleetResult:
     """One-call adaptive execution (see :class:`AdaptiveFleetDriver`).
@@ -735,8 +733,6 @@ def run_adaptive_fleet(
         max_retries=max_retries,
         task_timeout=task_timeout,
         retry_backoff=retry_backoff,
-        rotate_every=rotate_every,
-        compact_after=compact_after,
         fault_plan=fault_plan,
     )
     return driver.run(
@@ -756,8 +752,6 @@ def resume_adaptive_fleet(
     max_retries: int = 0,
     task_timeout: Optional[float] = None,
     retry_backoff: float = 0.0,
-    rotate_every: Optional[int] = None,
-    compact_after: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> AdaptiveFleetResult:
     """Resume a killed adaptive fleet (see :meth:`AdaptiveFleetDriver.resume`)."""
@@ -771,8 +765,6 @@ def resume_adaptive_fleet(
         max_retries=max_retries,
         task_timeout=task_timeout,
         retry_backoff=retry_backoff,
-        rotate_every=rotate_every,
-        compact_after=compact_after,
         fault_plan=fault_plan,
     )
     return driver.resume()

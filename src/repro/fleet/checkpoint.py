@@ -1,16 +1,16 @@
 """On-disk fleet checkpoints: crash-survivable progress for long fleet runs.
 
-Since the streaming JSONL log (:mod:`repro.fleet.persistence`) became the
-system of record for completed swarms, a checkpoint no longer carries the
-record list.  It freezes a fleet run's progress as a *pointer* into the log
-plus whatever cannot live in the log:
+The streaming JSONL log (:mod:`repro.fleet.persistence`) is the system of
+record for completed swarms, so a checkpoint does not carry the record
+list.  It freezes a fleet run's progress as a *pointer* into the log plus
+whatever cannot live in the log:
 
 * the spec (fixed :class:`~repro.fleet.spec.FleetSpec` or adaptive
   :class:`~repro.fleet.adaptive.AdaptiveFleetSpec`) and the normalized
   master-seed token,
-* ``num_records`` / ``(log_segment, log_offset)`` — how many swarms the log
-  held, and which segment file and byte offset sit just past them, when the
-  checkpoint was written,
+* ``num_records`` / ``log_offset`` — how many swarms the log held, and the
+  byte offset just past them in the one log file, when the checkpoint was
+  written,
 * optionally the suspended mid-swarm kernel snapshot from
   :meth:`~repro.swarm.swarm._SwarmEventLoop.capture_state`.
 
@@ -18,8 +18,8 @@ Because swarm assignment and simulation seeding are pure functions of
 ``(spec, seed)`` and kernel snapshots resume bit-identically, a resumed
 fleet reproduces the *exact* ``FleetResult`` an uninterrupted run would have
 produced, at any worker count.  Resume truncates the log back to
-``(log_segment, log_offset)``, so records appended after the last checkpoint
-are simply re-run — the log and the checkpoint can never disagree.
+``log_offset``, so records appended after the last checkpoint are simply
+re-run — the log and the checkpoint can never disagree.
 
 Checkpoint writes are **crash-atomic and durable**: the pickle goes to a
 sibling temp file, is fsync'd, renamed into place with ``os.replace``, and
@@ -43,13 +43,27 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .faults import FaultState, InjectedCheckpointCrash, corrupt_file_bytes
-from .persistence import _fsync_dir
+from .persistence import FleetLogError
 
 #: Version tag of the checkpoint payload layout; :func:`load_checkpoint`
 #: accepts only this format.  The in-flight kernel snapshot is opaque to
 #: this module and carries its *own* format tag, checked by
 #: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`.
 CHECKPOINT_FORMAT = 3
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Fsync a directory so a rename is durable (best-effort on exotic FS)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def default_log_path(checkpoint_path: Union[str, Path]) -> Path:
@@ -76,14 +90,13 @@ class FleetCheckpoint:
     #: Sibling file name of the JSONL fleet log (resolved relative to the
     #: checkpoint's directory).
     log_name: str
-    #: Byte offset just past record ``num_records - 1`` within the log
-    #: segment named by ``log_segment``.
+    #: Byte offset just past record ``num_records - 1`` in the log.
     log_offset: int
     #: ``(swarm index, kernel snapshot)`` of a mid-swarm suspension, if any;
     #: the index always equals ``num_records`` when present.
     in_flight: Optional[Tuple[int, Dict[str, Any]]] = None
-    #: Which log segment ``log_offset`` points into (0 for an unrotated
-    #: log).
+    #: Always 0: the log is one file.  Kept for ``perfbench/replay.py``,
+    #: which sets it; a loaded checkpoint with any other value is refused.
     log_segment: int = 0
     format: int = CHECKPOINT_FORMAT
 
@@ -92,8 +105,6 @@ class FleetCheckpoint:
             raise ValueError(f"num_records must be >= 0, got {self.num_records}")
         if self.log_offset < 0:
             raise ValueError(f"log_offset must be >= 0, got {self.log_offset}")
-        if self.log_segment < 0:
-            raise ValueError(f"log_segment must be >= 0, got {self.log_segment}")
         if self.in_flight is not None and self.in_flight[0] != self.num_records:
             raise ValueError(
                 f"in-flight swarm {self.in_flight[0]} does not match "
@@ -181,7 +192,7 @@ def load_checkpoint(path: Union[str, Path]) -> FleetCheckpoint:
     """
     target = Path(path)
     try:
-        return _load_checkpoint_file(target)
+        checkpoint = _load_checkpoint_file(target)
     except FileNotFoundError:
         raise
     except Exception as error:
@@ -194,7 +205,14 @@ def load_checkpoint(path: Union[str, Path]) -> FleetCheckpoint:
             f"{error}); falling back to the previous checkpoint {backup}",
             stacklevel=2,
         )
-        return checkpoint
+    # Unpickling skips ``__post_init__``, so this is checked here.
+    if checkpoint.log_segment != 0:
+        raise FleetLogError(
+            f"{target} points into log segment {checkpoint.log_segment}; log "
+            f"rotation was removed, so a checkpoint of a rotated fleet log "
+            f"cannot be resumed — re-run the fleet"
+        )
+    return checkpoint
 
 
 __all__ = [

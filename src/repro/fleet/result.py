@@ -286,9 +286,9 @@ class FleetResult:
     ) -> "FleetResult":
         """Rebuild the census of a (possibly still running) JSONL fleet log.
 
-        Reads the log written by :class:`repro.fleet.persistence.FleetLogWriter`
-        — following closed segments and compacted census snapshots, and
-        tolerating a truncated tail line — and replays its records, so the
+        Reads the one log file written by
+        :class:`repro.fleet.persistence.FleetLogWriter` — tolerating a
+        truncated tail line — and replays its records, so the
         reconstruction equals the census the run streamed incrementally.
         ``max_records`` truncates the replay (e.g. to a checkpoint's
         ``num_records``).  ``strict=False`` salvages a damaged log: records

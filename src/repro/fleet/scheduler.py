@@ -247,7 +247,7 @@ class PersistentFleetExecution:
         ``checkpoint_every`` completed chunks (and at every stop); the
         checkpoint stores only an offset into the JSONL log.
     log_path:
-        Where the streaming JSONL fleet log lives.  Defaults to a sibling of
+        The one append-only JSONL fleet log file.  Defaults to a sibling of
         ``checkpoint_path`` (``<checkpoint>.jsonl``) when checkpointing is
         on; may also be set alone to stream records without checkpoints.
     fsync_every_n:
@@ -270,11 +270,6 @@ class PersistentFleetExecution:
         Retried swarms reproduce their exact records (per-swarm seeds are
         independent ``SeedSequence.spawn`` children), so fingerprints are
         unchanged.
-    rotate_every / compact_after:
-        Log segmentation (see :mod:`repro.fleet.persistence`): rotate the
-        active log file into a numbered closed segment every that many
-        records, and compact closed segments into one census snapshot
-        once that many have accumulated.  Resume stays exact across both.
     fault_plan:
         A :class:`~repro.fleet.faults.FaultPlan` of injected failures for
         chaos testing; ``None`` (the default) costs nothing.
@@ -298,8 +293,6 @@ class PersistentFleetExecution:
         max_retries: int = 0,
         task_timeout: Optional[float] = None,
         retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
         if stacked and spec.backend != "array":
@@ -314,10 +307,6 @@ class PersistentFleetExecution:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if fsync_every_n < 1:
             raise ValueError(f"fsync_every_n must be >= 1, got {fsync_every_n}")
-        if rotate_every is not None and rotate_every < 1:
-            raise ValueError(f"rotate_every must be >= 1, got {rotate_every}")
-        if compact_after is not None and compact_after < 1:
-            raise ValueError(f"compact_after must be >= 1, got {compact_after}")
         from ..experiments.runner import _check_supervision
 
         _check_supervision(
@@ -335,8 +324,6 @@ class PersistentFleetExecution:
         self.max_retries = max_retries
         self.task_timeout = task_timeout
         self.retry_backoff = retry_backoff
-        self.rotate_every = rotate_every
-        self.compact_after = compact_after
         self.fault_plan = fault_plan
         self._fault_state = FaultState(fault_plan) if fault_plan is not None else None
         self._supervised = max_retries > 0 or task_timeout is not None
@@ -449,13 +436,11 @@ class PersistentFleetExecution:
         max_retries: int = 0,
         task_timeout: Optional[float] = None,
         retry_backoff: float = 0.0,
-        rotate_every: Optional[int] = None,
-        compact_after: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
         """Build a runner around the spec stored in a checkpoint.
 
-        ``stacked`` (like the supervision and log-layout knobs) is an
+        ``stacked`` (like the supervision and fsync knobs) is an
         execution property, not part of the spec: a run checkpointed by
         either path resumes (bit-identically) through the other.
         """
@@ -470,8 +455,6 @@ class PersistentFleetExecution:
             max_retries=max_retries,
             task_timeout=task_timeout,
             retry_backoff=retry_backoff,
-            rotate_every=rotate_every,
-            compact_after=compact_after,
             fault_plan=fault_plan,
         )
 
@@ -597,15 +580,12 @@ class PersistentFleetExecution:
         )
         resume = {} if checkpoint is None else dict(
             resume_offset=checkpoint.log_offset,
-            resume_segment=checkpoint.log_segment,
             resume_records=checkpoint.num_records,
         )
         return FleetLogWriter(
             self.log_path,
             header,
             fsync_every_n=self.fsync_every_n,
-            rotate_every=self.rotate_every,
-            compact_after=self.compact_after,
             faults=self._fault_state,
             **resume,
         )
@@ -643,7 +623,6 @@ class PersistentFleetExecution:
                 num_records=len(result.records),
                 log_name=writer.path.name,
                 log_offset=writer.offset,
-                log_segment=writer.segment,
                 in_flight=in_flight,
             ),
             faults=self._fault_state,
@@ -713,7 +692,8 @@ class FleetScheduler(PersistentFleetExecution):
     """Execute a :class:`~repro.fleet.spec.FleetSpec` with checkpointable
     progress: the fixed census is one round of ``spec.num_swarms`` tasks on
     the shared :class:`PersistentFleetExecution` loop (see there for the
-    parameters)."""
+    parameters).  A run writes one append-only JSONL log file, and its
+    checkpoints point into it by byte offset."""
 
     spec_type = FleetSpec
 
@@ -743,8 +723,6 @@ def run_fleet(
     max_retries: int = 0,
     task_timeout: Optional[float] = None,
     retry_backoff: float = 0.0,
-    rotate_every: Optional[int] = None,
-    compact_after: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> FleetResult:
     """One-call fleet execution (see :class:`FleetScheduler`).
@@ -771,8 +749,6 @@ def run_fleet(
         max_retries=max_retries,
         task_timeout=task_timeout,
         retry_backoff=retry_backoff,
-        rotate_every=rotate_every,
-        compact_after=compact_after,
         fault_plan=fault_plan,
     )
     return scheduler.run(
@@ -792,8 +768,6 @@ def resume_fleet(
     max_retries: int = 0,
     task_timeout: Optional[float] = None,
     retry_backoff: float = 0.0,
-    rotate_every: Optional[int] = None,
-    compact_after: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> FleetResult:
     """Resume a checkpointed fleet to completion (see :class:`FleetScheduler`)."""
@@ -807,8 +781,6 @@ def resume_fleet(
         max_retries=max_retries,
         task_timeout=task_timeout,
         retry_backoff=retry_backoff,
-        rotate_every=rotate_every,
-        compact_after=compact_after,
         fault_plan=fault_plan,
     )
     return scheduler.resume()

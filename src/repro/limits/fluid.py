@@ -64,9 +64,6 @@ class FluidModel:
         self, concentrations: np.ndarray, from_type: PieceSet, piece: int
     ) -> float:
         """Fluid analogue of Eq. (1) for the flow ``C → C ∪ {piece}``."""
-        total = concentrations.sum()
-        if total <= 0:
-            return 0.0
         x_c = concentrations[self._index[from_type]]
         if x_c <= 0:
             return 0.0
@@ -77,6 +74,11 @@ class FluidModel:
                 mass = concentrations[j]
                 if mass > 0:
                     peer_term += mass / len(holder.difference(from_type))
+        # The share x_c / total jumps from 1 to 0 when a type holding all
+        # the mass empties, and the solver then chatters on x_c = 0 without
+        # end (K=2, λ=1, U_s=2 from the empty state).  Flooring the
+        # denominator at the default ``atol`` makes the share continuous.
+        total = concentrations.sum() + 1e-8
         return (x_c / total) * (seed_term + self.params.peer_rate * peer_term)
 
     def rhs(self, _time: float, concentrations: np.ndarray) -> np.ndarray:

@@ -236,12 +236,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
     def population(self) -> int:
         return self._n
 
-    @property
-    def num_seeds(self) -> int:
-        if self._classes is None:
-            return len(self._seeds)
-        return sum(len(seeds) for seeds in self._class_seeds)
-
     def current_state(self) -> SystemState:
         """Aggregate the population into a :class:`SystemState`."""
         num_pieces = self.params.num_pieces

@@ -136,7 +136,8 @@ class _SwarmEventLoop:
     :meth:`_batch_stage`) without changing any trajectory.  Subclasses
     provide the state representation and the four event handlers plus:
 
-    * ``population`` / ``num_seeds`` properties,
+    * the ``population`` property and the flat ``_seeds`` list of peer-seed
+      handles (:attr:`num_seeds` counts it, or ``_class_seeds``),
     * ``_total_peer_tick_rate()`` — maintained incrementally,
     * the population mutators, each of which sets ``_rates_dirty`` (below),
     * ``one_club_size()``, the ``_piece_counts`` census and
@@ -458,6 +459,14 @@ class _SwarmEventLoop:
                 weight += extra * len(self._class_sped[index])
             total += cls.contact_rate * weight
         return total
+
+    @property
+    def num_seeds(self) -> int:
+        """Peer seeds in the swarm (the flat ``_seeds`` list, or the
+        per-class ``_class_seeds`` lists in heterogeneous mode)."""
+        if self._classes is None:
+            return len(self._seeds)
+        return sum(len(seeds) for seeds in self._class_seeds)
 
     def _total_seed_departure_rate(self) -> float:
         """Aggregate peer-seed departure rate (γ-weighted in hetero mode)."""
@@ -1040,12 +1049,6 @@ class SwarmSimulator(_SwarmEventLoop):
     @property
     def population(self) -> int:
         return len(self._order)
-
-    @property
-    def num_seeds(self) -> int:
-        if self._classes is None:
-            return len(self._seeds)
-        return sum(len(seeds) for seeds in self._class_seeds)
 
     def peers(self) -> Iterable[Peer]:
         """Iterate over the peers currently in the system."""

@@ -8,8 +8,6 @@ The acceptance criteria of the robustness PR:
   resume — to the *exact* uninterrupted fingerprint at workers 1, 2 and 4;
 * a real ``kill -9`` (the subprocess harness SIGKILLs a running fleet at a
   planned log record) resumes exactly;
-* a log rotated and compacted mid-run rebuilds the same ``FleetResult``
-  via ``FleetResult.from_log``;
 * a poison swarm degrades to a ``failed`` record without poisoning its
   chunk-mates, and salvage mode recovers what a corrupted log still holds.
 
@@ -39,7 +37,6 @@ from repro.experiments.runner import (
 from repro.fleet import (
     AdaptiveFleetSpec,
     FaultPlan,
-    FleetLogWriter,
     FleetResult,
     FleetScheduler,
     FleetSpec,
@@ -47,7 +44,6 @@ from repro.fleet import (
     InjectedTornWrite,
     RandomSampler,
     ScenarioWeight,
-    compact_log,
     read_log,
     resume_adaptive_fleet,
     resume_fleet,
@@ -511,7 +507,7 @@ from test_faults import small_spec
 
 plan = FaultPlan(kill_points=(7,))
 run_fleet(small_spec(), seed=11, checkpoint_path=sys.argv[1],
-          checkpoint_every=1, chunk_size=2, rotate_every=3, fault_plan=plan)
+          checkpoint_every=1, chunk_size=2, fault_plan=plan)
 raise SystemExit("kill point did not fire")
 """
 
@@ -554,7 +550,7 @@ class TestChaosSigkill:
     ):
         checkpoint = tmp_path / "cp"
         _run_killed_child(_KILL_FLEET_CHILD, checkpoint)
-        resumed = resume_fleet(checkpoint, workers=workers, rotate_every=3)
+        resumed = resume_fleet(checkpoint, workers=workers)
         clean = run_fleet(small_spec(), seed=11)
         assert resumed.complete
         assert resumed.fingerprint() == clean.fingerprint()
@@ -633,102 +629,7 @@ class TestCrashAtomicCheckpoints:
         assert loaded.num_records == 1
 
 
-# -- rotation, compaction, salvage --------------------------------------------
-
-
-class TestRotationAndCompaction:
-    def test_rotated_log_rebuilds_same_result(self, tmp_path):
-        spec = small_spec()
-        log = tmp_path / "fleet.jsonl"
-        result = run_fleet(spec, seed=2, log_path=log, rotate_every=4)
-        segments = sorted(tmp_path.glob("fleet.jsonl.seg*"))
-        assert len(segments) >= 2
-        rebuilt = FleetResult.from_log(log)
-        assert rebuilt.fingerprint() == result.fingerprint()
-
-    def test_auto_compaction_is_lossless(self, tmp_path):
-        spec = small_spec()
-        log = tmp_path / "fleet.jsonl"
-        result = run_fleet(
-            spec, seed=2, log_path=log, rotate_every=3, compact_after=2
-        )
-        assert (tmp_path / "fleet.jsonl.compact").exists()
-        rebuilt = FleetResult.from_log(log)
-        assert rebuilt.fingerprint() == result.fingerprint()
-
-    def test_explicit_compact_log_merges_all_segments(self, tmp_path):
-        spec = small_spec()
-        log = tmp_path / "fleet.jsonl"
-        result = run_fleet(spec, seed=4, log_path=log, rotate_every=3)
-        merged = compact_log(log)
-        assert merged >= 9  # at least the closed segments' records
-        assert not list(tmp_path.glob("fleet.jsonl.seg*"))
-        rebuilt = FleetResult.from_log(log)
-        assert rebuilt.fingerprint() == result.fingerprint()
-        assert compact_log(log) == 0  # idempotent: nothing left to merge
-
-    def test_resume_across_rotation_is_exact(self, tmp_path):
-        spec = small_spec()
-        clean = run_fleet(spec, seed=6).fingerprint()
-        checkpoint = tmp_path / "cp"
-        partial = run_fleet(
-            spec, seed=6, chunk_size=2, checkpoint_path=checkpoint,
-            rotate_every=3, stop_after_swarms=7,
-        )
-        assert not partial.complete
-        resumed = resume_fleet(checkpoint, rotate_every=3)
-        assert resumed.complete
-        assert resumed.fingerprint() == clean
-
-    def test_resume_across_rotation_and_compaction_is_exact(self, tmp_path):
-        spec = small_spec()
-        clean = run_fleet(spec, seed=6).fingerprint()
-        checkpoint = tmp_path / "cp"
-        run_fleet(
-            spec, seed=6, chunk_size=2, checkpoint_path=checkpoint,
-            rotate_every=2, compact_after=2, stop_after_swarms=7,
-        )
-        resumed = resume_fleet(checkpoint, rotate_every=2, compact_after=2)
-        assert resumed.complete
-        assert resumed.fingerprint() == clean
-
-    def test_resume_after_checkpointed_segment_was_compacted(self, tmp_path):
-        """The slow resume path: the checkpointed segment no longer exists,
-        so the prefix is rebuilt from the census snapshot by record count."""
-        spec = small_spec(num_swarms=8)
-        reference_log = tmp_path / "ref.jsonl"
-        result = run_fleet(spec, seed=3, log_path=reference_log)
-        full = read_log(reference_log)
-        log = tmp_path / "rot.jsonl"
-        with FleetLogWriter(
-            log, full.header, rotate_every=2, compact_after=1
-        ) as writer:
-            writer.append(list(full.records))
-        # Every closed segment was folded into the census snapshot; a
-        # checkpoint pointing into segment 0 can only resume by count.
-        resumed_writer = FleetLogWriter(
-            log, full.header,
-            resume_offset=999_999,  # meaningless once the segment is gone
-            resume_segment=0,
-            resume_records=2,
-        )
-        prefix = read_log(log)
-        assert [record.index for record in prefix.records] == [0, 1]
-        resumed_writer.append(list(full.records[2:]))
-        resumed_writer.close()
-        rebuilt = FleetResult.from_log(log)
-        assert rebuilt.fingerprint() == result.fingerprint()
-
-    def test_adaptive_resume_across_rotation(self, tmp_path):
-        spec = tiny_adaptive_spec()
-        clean = run_adaptive_fleet(spec, seed=8).fingerprint()
-        checkpoint = tmp_path / "cp"
-        run_adaptive_fleet(
-            spec, seed=8, chunk_size=2, checkpoint_path=checkpoint,
-            rotate_every=3, stop_after_swarms=7,
-        )
-        resumed = resume_adaptive_fleet(checkpoint, rotate_every=3)
-        assert resumed.fingerprint() == clean
+# -- salvage ------------------------------------------------------------------
 
 
 class TestSalvageMode:

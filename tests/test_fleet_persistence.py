@@ -314,3 +314,66 @@ class TestFsyncBatching:
     def test_fsync_every_n_validation(self, tmp_path):
         with pytest.raises(ValueError, match="fsync_every_n"):
             run_fleet(small_spec(), seed=1, fsync_every_n=0)
+
+
+def _rewrite_header(log, **extra) -> int:
+    """Add keys to a log's header line with a recomputed CRC32, as a log
+    written before rotation was removed carries them; returns the number
+    of bytes the header grew by."""
+    lines = log.read_bytes().split(b"\n")
+    payload = json.loads(lines[0])
+    del payload["crc"]
+    payload.update(extra)
+    payload["crc"] = zlib.crc32(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ) & 0xFFFFFFFF
+    old_length = len(lines[0])
+    lines[0] = json.dumps(payload, sort_keys=True).encode("utf-8")
+    log.write_bytes(b"\n".join(lines))
+    return len(lines[0]) - old_length
+
+
+class TestRotatedEraInputs:
+    def test_rotated_segment_header_is_refused(self, tmp_path):
+        log = tmp_path / "fleet.jsonl"
+        run_fleet(small_spec(num_swarms=4), seed=6, workers=1, log_path=log)
+        _rewrite_header(log, segment=2, base_records=30)
+        with pytest.raises(FleetLogError, match="rotation was removed"):
+            read_log(log)
+        with pytest.raises(FleetLogError, match="rotation was removed"):
+            FleetResult.from_log(log)
+
+    def test_checkpoint_into_a_later_segment_is_refused(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        run_fleet(
+            small_spec(), seed=6, workers=1, checkpoint_path=path,
+            stop_after_swarms=3,
+        )
+        checkpoint = load_checkpoint(path)
+        checkpoint.log_segment = 1
+        path.write_bytes(pickle.dumps(checkpoint))
+        with pytest.raises(FleetLogError, match="rotation was removed"):
+            load_checkpoint(path)
+        with pytest.raises(FleetLogError, match="rotation was removed"):
+            resume_fleet(path, workers=1)
+
+    def test_unrotated_log_with_segment_keys_resumes_exactly(self, tmp_path):
+        """A checkpoint+log pair written while the header still carried
+        ``segment: 0`` / ``base_records: 0`` resumes to the uninterrupted
+        result, mid-swarm snapshot included."""
+        spec = small_spec()
+        uninterrupted = run_fleet(spec, seed=19, workers=1)
+        path = tmp_path / "fleet.ckpt"
+        run_fleet(
+            spec, seed=19, workers=1, checkpoint_path=path,
+            stop_after_swarms=5, suspend_after_events=30,
+        )
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.in_flight is not None
+        log = checkpoint.log_path(path)
+        checkpoint.log_offset += _rewrite_header(log, segment=0, base_records=0)
+        path.write_bytes(pickle.dumps(checkpoint))
+        resumed = resume_fleet(path, workers=1)
+        assert resumed.fingerprint() == uninterrupted.fingerprint()
+        assert FleetResult.from_log(log) == uninterrupted
+        assert json.loads(log.read_text().splitlines()[0])["segment"] == 0

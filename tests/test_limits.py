@@ -1,6 +1,7 @@
 """Tests for the mu = infinity watched process and the fluid limit."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -167,6 +168,27 @@ class TestFluidModel:
     def test_invalid_horizon(self, flash_crowd_stable):
         with pytest.raises(ValueError):
             FluidModel(flash_crowd_stable).integrate(horizon=0.0)
+
+    def test_empty_start_with_spare_seed_capacity_returns(self):
+        """K=2, λ=1, U_s=2 from empty: the seed drains the empty type faster
+        than it fills, so the solution runs along x_∅ = 0, where the share
+        x_∅ / total is discontinuous.  The solve must still finish."""
+
+        def give_up(_signum, _frame):
+            raise TimeoutError("FluidModel.integrate did not return in 5 s")
+
+        params = SystemParameters.flash_crowd(2, arrival_rate=1.0, seed_rate=2.0)
+        model = FluidModel(params)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            trajectory = model.integrate(5.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert trajectory.times[-1] == 5.0
+        # Spare seed capacity keeps the fluid population near empty.
+        assert trajectory.total_mass()[-1] < 1e-2
 
     def test_final_state_mapping(self, flash_crowd_stable):
         model = FluidModel(flash_crowd_stable)
