@@ -343,68 +343,70 @@ def read_log(
 ) -> FleetLog:
     """Parse a fleet log.
 
-    Verifies every line's CRC32 checksum.  A last line without a trailing
-    newline is the signature of a crash mid-append: it is discarded
-    silently (the swarm it described re-runs deterministically on resume).
+    Verifies the CRC32 checksum of every line it reads.  A last line
+    without a trailing newline is the signature of a crash mid-append: it
+    is discarded silently (the swarm it described re-runs
+    deterministically on resume).
     Anything malformed before the tail is genuine corruption and raises
     :class:`FleetLogError` — unless ``strict=False``, which *salvages*
     instead: checksum-failing or undecodable interior lines are skipped
     with a warning and the surviving records returned (the
     :class:`FleetLog` counts them in ``salvaged``).  ``max_records`` keeps
-    only the first that many records.
+    only the first that many records: the parse stops at the last of them,
+    so lines past the prefix are neither read nor checked (a resume or a
+    prefix replay costs the prefix, not the file).
     """
+    if max_records is not None and max_records < 0:
+        raise ValueError(f"max_records must be >= 0, got {max_records}")
     source = Path(path)
-    with source.open("rb") as handle:
-        raw = handle.read()
-    # The last element is "" after a clean newline, else a torn tail.
-    complete = raw.split(b"\n")[:-1]
-    if not complete:
-        raise FleetLogError(f"{source}: empty or headerless fleet log")
     position = 0
     header: Optional[FleetLogHeader] = None
     header_end = 0
     records: List[FleetSwarmRecord] = []
     offsets: List[int] = []
     salvaged = 0
-    for line_number, line in enumerate(complete, start=1):
-        position += len(line) + 1
-        try:
-            payload = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            # A partial write can only ever leave an *unterminated* tail
-            # (dropped above); a newline-terminated line that does not parse
-            # is genuine corruption.
-            if line_number == 1 or strict:
-                raise FleetLogError(
-                    f"{source}:{line_number}: corrupt fleet-log line: {error}"
-                ) from error
-            warnings.warn(
-                f"{source}:{line_number}: skipping corrupt fleet-log line "
-                f"({error})",
-                stacklevel=2,
-            )
-            salvaged += 1
-            continue
-        if line_number == 1:
-            header = FleetLogHeader.from_payload(payload, source)
-            header_end = position
-            continue
-        if not _crc_ok(payload):
-            message = (
-                f"{source}:{line_number}: record failed its CRC32 checksum "
-                f"— corrupt fleet-log line"
-            )
-            if strict:
-                raise FleetLogError(message)
-            warnings.warn(message + "; skipping it", stacklevel=2)
-            salvaged += 1
-            continue
-        records.append(record_from_payload(payload, source, line_number))
-        offsets.append(position)
-    assert header is not None  # line 1 either parsed or raised
-    if max_records is not None:
-        records = records[:max_records]
-        offsets = offsets[:max_records]
+    with source.open("rb") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.endswith(b"\n"):
+                break  # the torn tail of a crashed append
+            position += len(line)
+            try:
+                payload = json.loads(line.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError) as error:
+                # A partial write can only ever leave an *unterminated* tail
+                # (dropped above); a newline-terminated line that does not
+                # parse is genuine corruption.
+                if line_number == 1 or strict:
+                    raise FleetLogError(
+                        f"{source}:{line_number}: corrupt fleet-log line: {error}"
+                    ) from error
+                warnings.warn(
+                    f"{source}:{line_number}: skipping corrupt fleet-log line "
+                    f"({error})",
+                    stacklevel=2,
+                )
+                salvaged += 1
+                continue
+            if line_number == 1:
+                header = FleetLogHeader.from_payload(payload, source)
+                header_end = position
+            elif _crc_ok(payload):
+                records.append(record_from_payload(payload, source, line_number))
+                offsets.append(position)
+            else:
+                message = (
+                    f"{source}:{line_number}: record failed its CRC32 checksum "
+                    f"— corrupt fleet-log line"
+                )
+                if strict:
+                    raise FleetLogError(message)
+                warnings.warn(message + "; skipping it", stacklevel=2)
+                salvaged += 1
+                continue
+            if len(records) == max_records:
+                break
+    if header is None:
+        raise FleetLogError(f"{source}: empty or headerless fleet log")
     return FleetLog(
         header=header,
         records=tuple(records),

@@ -30,6 +30,15 @@ The per-block exponential transform ``-log1p(-u)`` is computed **once**,
 vectorized, on refill; scalar and batched consumers read the same
 precomputed values, so no scalar-vs-SIMD libm discrepancy can creep in.
 
+Storage
+-------
+The numpy block (uniforms and exponentials) is the one store: the
+vectorized views and :meth:`DrawBuffer.capture` slice it.  Scalar reads go
+through two zero-copy ``memoryview`` objects over the same two arrays,
+bound once per block, because indexing a memoryview yields a plain Python
+float at about half the cost of ``ndarray.item``.  The memoryviews never
+leave the buffer: snapshots copy the numpy remainder.
+
 Snapshots
 ---------
 A buffer holds look-ahead state: the generator has already been advanced to
@@ -78,7 +87,9 @@ class DrawBuffer:
     The scalar accessors (:meth:`next`, :meth:`uniform`, :meth:`exponential`,
     :meth:`integers`, :meth:`choice`) serve one decision per call as plain
     Python floats read straight out of the block (no per-draw Generator
-    call); the view accessors (:meth:`uniforms_view`, :meth:`exp_view`,
+    call), through the memoryviews ``_uniforms_mv`` / ``_exp_mv`` over the
+    numpy block; the simulators' inlined hot reads use the same two views.
+    The view accessors (:meth:`uniforms_view`, :meth:`exp_view`,
     :meth:`advance`) expose the same pending draws as numpy arrays for the
     array kernel's vectorized batch stage.  All interfaces read the same
     positions of the same stream, so mixing them freely is safe.
@@ -95,6 +106,8 @@ class DrawBuffer:
         "block_size",
         "_uniforms",
         "_exp",
+        "_uniforms_mv",
+        "_exp_mv",
         "_pos",
         "_len",
     )
@@ -116,6 +129,9 @@ class DrawBuffer:
         # One vectorized inverse-transform per block; scalar and batched
         # consumers both read these exact doubles.
         self._exp = -np.log1p(-uniforms)
+        # Zero-copy scalar read paths over the same two arrays.
+        self._uniforms_mv = memoryview(uniforms)
+        self._exp_mv = memoryview(self._exp)
         self._pos = 0
         self._len = len(uniforms)
 
@@ -135,7 +151,7 @@ class DrawBuffer:
             self._refill()
             pos = 0
         self._pos = pos + 1
-        return self._uniforms.item(pos)
+        return self._uniforms_mv[pos]
 
     def random(self) -> float:
         """Generator-compatible alias of :meth:`next`."""
@@ -156,7 +172,7 @@ class DrawBuffer:
             self._refill()
             pos = 0
         self._pos = pos + 1
-        return scale * self._exp.item(pos)
+        return scale * self._exp_mv[pos]
 
     def integers(self, low: int, high: Optional[int] = None) -> int:
         """One integer from ``[0, low)`` (or ``[low, high)``), one draw.
@@ -166,13 +182,18 @@ class DrawBuffer:
         ``n - 1`` clamp guards the (theoretical) ``u * n == n`` rounding
         edge and mirrors the vectorized batch stage exactly.
         """
+        pos = self._pos
+        if pos >= self._len:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
         if high is None:
             span = low
             base = 0
         else:
             span = high - low
             base = low
-        value = int(self.next() * span)
+        value = int(self._uniforms_mv[pos] * span)
         if value >= span:
             value = span - 1
         return base + value

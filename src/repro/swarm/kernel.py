@@ -13,6 +13,15 @@ structure of arrays (SoA) instead of one Python object per peer:
 * ``_seed_slot`` / ``_sped_slot`` — int64 back-pointers into the peer-seed
   and sped-up swap-remove lists (``-1`` when absent).
 
+The numpy columns are the one store.  The scalar per-event path reads and
+writes the mask column through ``_mask_view``, a zero-copy ``memoryview``
+of ``_masks`` (indexing it yields a plain Python int, at about half the
+cost of ``ndarray.item``); ``_bind_mask_view`` rebinds it wherever
+``_masks`` is rebound (reset, growth, a stacked lane's adoption into the
+shared sheet), so no view outlives its array.  The vectorised paths — the
+batch stage's escalation, the census, snapshots — use the arrays, and no
+memoryview reaches a snapshot.
+
 Rows are dense: peer ``i`` lives in row ``i`` for ``i < population``.  A
 departure swap-removes the last row into the vacated slot (O(1)), with the
 back-pointer columns keeping the seed/sped lists consistent.  All aggregate
@@ -41,7 +50,9 @@ sped-up entry must go through ``_add_peer`` / ``_remove_peer`` /
 ``_add_seed`` / ``_remove_seed`` / ``_add_sped`` / ``_discard_sped`` /
 ``seed_population``, which set it, or set it itself.  A useful peer tick
 that completes nobody (the stable regime's dominant event) keeps the cache
-clean and draws its ticker and target rows inline.
+clean and draws its ticker and target rows inline; where the batch stage is
+licensed (no gossip, no retry speedup, an rng-free-when-useless policy) a
+flat tick also decides a wasted contact inline, with no policy call.
 
 On top of the scalar handlers the kernel adds a **batch stage**
 (:meth:`_batch_stage`): runs of wasted peer ticks — the dominant event of a
@@ -191,6 +202,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._was_one_club = np.zeros(capacity, dtype=np.bool_)
         self._seed_slot = np.full(capacity, -1, dtype=np.int64)
         self._sped_slot = np.full(capacity, -1, dtype=np.int64)
+        self._bind_mask_view()
         self._n = 0  # live rows: peers occupy rows 0.._n-1
         self._seeds: List[int] = []  # row indices of peer seeds (gamma < inf)
         self._sped: List[int] = []  # row indices of sped-up peers
@@ -285,6 +297,16 @@ class ArraySwarmKernel(_SwarmEventLoop):
             else:
                 grown[len(old) :] = 0
             setattr(self, name, grown)
+        self._bind_mask_view()
+
+    def _bind_mask_view(self) -> None:
+        """Bind ``_mask_view``, the scalar path's memoryview of ``_masks``.
+
+        Called wherever ``_masks`` is rebound (reset, growth, the stacked
+        sheet's adoption), so the view always aliases the live column: a
+        view left on a replaced array would silently drop writes.
+        """
+        self._mask_view = memoryview(self._masks)
 
     def _add_peer(self, mask: int, class_index: int = 0) -> int:
         if self._n == len(self._masks):
@@ -292,7 +314,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._membership_version += 1
         row = self._n
         self._n += 1
-        self._masks[row] = mask
+        self._mask_view[row] = mask
         self._arrival_time[row] = self._time
         self._completed_at[row] = np.nan
         self._arrived_with_rare[row] = bool(mask & self._rare_bit)
@@ -349,7 +371,8 @@ class ArraySwarmKernel(_SwarmEventLoop):
         arrival = float(self._arrival_time[row])
         sojourn = self._time - arrival
         completed = float(self._completed_at[row])
-        mask = int(self._masks[row])
+        mask_view = self._mask_view
+        mask = mask_view[row]
         bits = mask
         counts = self._piece_counts
         while bits:
@@ -381,7 +404,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         last = self._n - 1
         self._n = last
         if row != last:
-            self._masks[row] = self._masks[last]
+            mask_view[row] = mask_view[last]
             self._arrival_time[row] = self._arrival_time[last]
             self._completed_at[row] = self._completed_at[last]
             self._arrived_with_rare[row] = self._arrived_with_rare[last]
@@ -613,8 +636,8 @@ class ArraySwarmKernel(_SwarmEventLoop):
 
     def _transfer(self, uploader_mask: int, row: int, from_seed: bool) -> bool:
         """Attempt a useful upload into the peer at ``row``."""
-        masks = self._masks
-        downloader_mask = masks.item(row)
+        masks = self._mask_view
+        downloader_mask = masks[row]
         if self._gossip is not None:
             # The policy reads the census as the *downloader* estimates it.
             self._gossip.focus(row, self._n, self._time)
@@ -703,17 +726,29 @@ class ArraySwarmKernel(_SwarmEventLoop):
             draws = self.draws
             pos = draws._pos
             if pos + 1 < draws._len:
-                uniforms = draws._uniforms
-                uploader = int(uniforms.item(pos) * n)
+                uniforms = draws._uniforms_mv
+                uploader = int(uniforms[pos] * n)
                 if uploader >= n:
                     uploader = n - 1
-                target = int(uniforms.item(pos + 1) * n)
+                target = int(uniforms[pos + 1] * n)
                 if target >= n:
                     target = n - 1
                 draws._pos = pos + 2
             else:
                 uploader = draws.integers(n)
                 target = draws.integers(n)
+            if self._batch_enabled:
+                # No gossip, no speedup and a policy that draws nothing on
+                # a useless contact (what licenses the batch stage): a
+                # self-contact or a useless contact is a wasted tick, decided
+                # here without a policy call.
+                masks = self._mask_view
+                uploader_mask = masks[uploader]
+                if target != uploader and uploader_mask & ~masks[target]:
+                    self._transfer(uploader_mask, target, from_seed=False)
+                else:
+                    self.metrics.wasted_contacts += 1
+                return
             self._apply_transfer_tick(uploader, target)
             return
         uploader = self._sample_ticking_row()
@@ -730,7 +765,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
                 success = False
             else:
                 success = self._transfer(
-                    int(self._masks[uploader]), slot, from_seed=False
+                    self._mask_view[uploader], slot, from_seed=False
                 )
             if success:
                 self.metrics.neighbor_useful_ticks += 1
@@ -758,7 +793,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             success = False
         else:
             success = self._transfer(
-                self._masks.item(uploader), target, from_seed=False
+                self._mask_view[uploader], target, from_seed=False
             )
         if not success and self.retry_speedup > 1.0:
             self._add_sped(uploader)
@@ -766,7 +801,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
     # -- flash-exit cull hooks ---------------------------------------------------
 
     def _slot_is_complete(self, slot: int) -> bool:
-        return int(self._masks[slot]) == self._full_mask
+        return self._mask_view[slot] == self._full_mask
 
     def _remove_slot(self, slot: int) -> None:
         self._remove_peer(slot)
@@ -911,10 +946,11 @@ class ArraySwarmKernel(_SwarmEventLoop):
         (flat truncate-and-clamp, or the classed pick
         :func:`~repro.swarm.swarm._pick_from_segments`), the target
         (uniform, or :meth:`~repro.swarm.topology.OverlayState.draw_target`
-        under an overlay) and usefulness via ``masks.item``.  In small
-        swarms and transfer-heavy phases runs of wasted ticks are short, so
-        most walks stop inside the window and their run is applied without
-        any array setup.  Only a walk that fills the window escalates to
+        under an overlay) and usefulness, all read through the draw
+        buffer's and the mask column's memoryviews.  In small swarms and
+        transfer-heavy phases runs of wasted ticks are short, so most walks
+        stop inside the window and their run is applied without any array
+        setup.  Only a walk that fills the window escalates to
         :meth:`_leading_wasted`, the same classification with array ops
         over the whole pending block, which is what keeps the long runs of
         a large captured swarm cheap.
@@ -924,37 +960,34 @@ class ArraySwarmKernel(_SwarmEventLoop):
         costs a call and block reads per entry on top of the scalar event
         it precedes, so the gate stays in front of the walk: a probe that
         batches fewer than ``_PROBE_MIN_YIELD`` events backs the stage off —
-        the next 1, 2, 4, … up to ``_PROBE_MAX_BACKOFF`` entries return at
-        once — and the first productive probe re-engages it.  The entry
-        right after a productive batch skips its probe too when its
-        candidate is the peer tick that stopped the batch (a known
-        transfer), so a captured swarm does not back off at the end of
-        every run of wasted ticks.  A skipped entry only hands the pending
-        events to the scalar loop, which consumes the very same draws, so
-        the gate never changes a trajectory — it is fixed scheduling, with
-        no knob, and stays out of snapshots.  ``probes_run`` /
+        the run loop counts down ``_probe_skip`` over the next 1, 2, 4, … up
+        to ``_PROBE_MAX_BACKOFF`` entries without calling the stage — and
+        the first productive probe re-engages it.  The entry right after a
+        productive batch skips its probe too when its candidate is the peer
+        tick that stopped the batch (a known transfer), so a captured swarm
+        does not back off at the end of every run of wasted ticks.  A
+        skipped entry only hands the pending events to the scalar loop,
+        which consumes the very same draws, so the gate never changes a
+        trajectory — it is fixed scheduling, with no knob, and stays out of
+        snapshots.  ``probes_run`` /
         ``probes_skipped`` / ``probes_escalated`` / ``events_batched``
         count what the stage did.
         """
         n = self._n
         if n == 0:
             return 0
-        if self._probe_skip:
-            self._probe_skip -= 1
-            self.probes_skipped += 1
-            return 0
         draws = self.draws
         pos = draws._pos
         remaining = draws._len - pos
         if remaining < 2:
             return 0
-        uniforms = draws._uniforms
+        uniforms = draws._uniforms_mv
         total = self._rate_total
         r01 = self._rate_r01
         r012 = self._rate_r012
         # The walk's first step, candidate 0's event type, also gates the
         # entry: anything but a peer tick leaves before a probe is counted.
-        selector = uniforms.item(pos + 1) * total
+        selector = uniforms[pos + 1] * total
         if not r01 < selector <= r012:
             return 0
         if self._breaker_time == self._time:
@@ -969,31 +1002,31 @@ class ArraySwarmKernel(_SwarmEventLoop):
             return 0
         self.probes_run += 1
         window = _PROBE_WINDOW if candidates > _PROBE_WINDOW else candidates
-        masks = self._masks
+        masks = self._mask_view
         overlay = self._overlay
         segments = self._ticker_segments() if self._classes is not None else None
         count = 0
         while True:
             if segments is None:
-                ticker = int(uniforms.item(pos + 2) * n)
+                ticker = int(uniforms[pos + 2] * n)
                 if ticker >= n:
                     ticker = n - 1
             else:
-                ticker = _pick_from_segments(segments, uniforms.item(pos + 2))
+                ticker = _pick_from_segments(segments, uniforms[pos + 2])
             if overlay is None:
-                target = int(uniforms.item(pos + 3) * n)
+                target = int(uniforms[pos + 3] * n)
                 if target >= n:
                     target = n - 1
             else:
                 # A zero-degree ticker (-1) wastes its tick.
-                target = overlay.draw_target(ticker, uniforms.item(pos + 3))
-            if target >= 0 and masks.item(ticker) & ~masks.item(target):
+                target = overlay.draw_target(ticker, uniforms[pos + 3])
+            if target >= 0 and masks[ticker] & ~masks[target]:
                 break  # a useful contact
             count += 1
             if count == window:
                 break
             pos += 4
-            selector = uniforms.item(pos + 1) * total
+            selector = uniforms[pos + 1] * total
             if not r01 < selector <= r012:
                 break
         if count == window and candidates > window:

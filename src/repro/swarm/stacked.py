@@ -128,7 +128,7 @@ class _StackedLane(ArraySwarmKernel):
             width = (draws._len - pos) >> 2
             if width and (
                 self._rate_r01
-                < draws._uniforms.item(pos + 1) * self._rate_total
+                < draws._uniforms_mv[pos + 1] * self._rate_total
                 <= self._rate_r012
             ):
                 if width > self._stk_window:
@@ -202,15 +202,18 @@ class StackedSwarmKernel:
             sheet = np.zeros(new_size, dtype=np.uint64)
             sheet[: self._sheet_used] = self._sheet[: self._sheet_used]
             self._sheet = sheet
-            # Slice views into the old sheet died with it: rebind them all.
+            # Slice views into the old sheet died with it: rebind them all,
+            # with their scalar memoryviews.
             for other in self._lanes:
                 base = other._sheet_base
                 if other is not lane:
                     other._masks = sheet[base : base + len(other._masks)]
+                    other._bind_mask_view()
         base = self._sheet_used
         self._sheet_used = base + capacity
         self._sheet[base : base + capacity] = masks
         lane._masks = self._sheet[base : base + capacity]
+        lane._bind_mask_view()
         lane._sheet_base = base
 
     def add_lane(

@@ -214,7 +214,10 @@ class _SwarmEventLoop:
     #: record any crossed grid points through :meth:`_record_until` and
     #: return ``k``; the first event not provably state-neutral (or
     #: crossing ``_run_horizon`` / ``limit``) is left unapplied.  A negative
-    #: ``k`` (nothing applied) stops :meth:`_loop` early.
+    #: ``k`` (nothing applied) stops :meth:`_loop` early.  Such backends
+    #: also keep the stage's yield-gate countdown ``_probe_skip`` (with its
+    #: ``probes_skipped`` counter) and the live row count ``_n``: the loop
+    #: runs the countdown itself, so a skipped entry costs no call.
     _batch_enabled = False
 
     # -- scenario plumbing -----------------------------------------------------
@@ -649,6 +652,9 @@ class _SwarmEventLoop:
         suspended = False
         batch_enabled = self._batch_enabled
         draws = self.draws
+        # The population moves only where a mutator sets ``_rates_dirty``,
+        # so the cap is checked on entry and after such an event.
+        check_population = max_population is not None
         while True:
             if suspend_after_events is not None and events >= suspend_after_events:
                 horizon_reached = False
@@ -657,11 +663,13 @@ class _SwarmEventLoop:
             if max_events is not None and events >= max_events:
                 horizon_reached = False
                 break
-            if max_population is not None and self.population >= max_population:
-                horizon_reached = False
-                break
-            if self._rates_dirty:
-                self._refresh_rates()
+            if self._rates_dirty or check_population:
+                if max_population is not None and self.population >= max_population:
+                    horizon_reached = False
+                    break
+                check_population = False
+                if self._rates_dirty:
+                    self._refresh_rates()
             total = self._rate_total
             if total <= 0:
                 # No events possible (no arrivals configured and system empty).
@@ -670,32 +678,42 @@ class _SwarmEventLoop:
             cull_time = self._cull_time
             cull_pending = cull_time is not None and not self._cull_done
             if batch_enabled and not cull_pending:
-                # Vectorized fast path: consume a run of state-neutral events
-                # (wasted peer ticks) in one go.  The stage consumes exactly
-                # the draws the scalar path would and stops short of any
-                # event that changes rates, crosses the horizon, or exceeds
-                # the event caps, so trajectories stay bit-identical.
-                limit = None
-                if suspend_after_events is not None:
-                    limit = suspend_after_events - events
-                if max_events is not None:
-                    remaining = max_events - events
-                    limit = remaining if limit is None else min(limit, remaining)
-                applied = self._batch_stage(limit)
-                if applied:
-                    if applied < 0:
-                        self._events = events
-                        return None
-                    events += applied
-                    continue
+                if self._probe_skip:
+                    # The batch stage's yield gate is backed off: this entry
+                    # skips its probe (an empty swarm does not count one)
+                    # and the scalar path below takes the event.
+                    if self._n:
+                        self._probe_skip -= 1
+                        self.probes_skipped += 1
+                else:
+                    # Vectorized fast path: consume a run of state-neutral
+                    # events (wasted peer ticks) in one go.  The stage
+                    # consumes exactly the draws the scalar path would and
+                    # stops short of any event that changes rates, crosses
+                    # the horizon, or exceeds the event caps, so
+                    # trajectories stay bit-identical.
+                    limit = None
+                    if suspend_after_events is not None:
+                        limit = suspend_after_events - events
+                    if max_events is not None:
+                        remaining = max_events - events
+                        limit = remaining if limit is None else min(limit, remaining)
+                    applied = self._batch_stage(limit)
+                    if applied:
+                        if applied < 0:
+                            self._events = events
+                            return None
+                        events += applied
+                        continue
             # Inline ``draws.exponential(scale)`` / ``draws.next()``: read
-            # the pending block directly, leaving the refill at a block
-            # boundary to the buffer (same doubles, same positions).
+            # the pending block through the buffer's memoryviews, leaving
+            # the refill at a block boundary to the buffer (same doubles,
+            # same positions).
             pos = draws._pos
             if pos < draws._len:
                 draws._pos = pos + 1
                 next_event_time = (
-                    self._time + self._rate_scale * draws._exp.item(pos)
+                    self._time + self._rate_scale * draws._exp_mv[pos]
                 )
             else:
                 next_event_time = self._time + draws.exponential(self._rate_scale)
@@ -725,7 +743,7 @@ class _SwarmEventLoop:
             pos = draws._pos
             if pos < draws._len:
                 draws._pos = pos + 1
-                self._apply_event(draws._uniforms.item(pos) * total)
+                self._apply_event(draws._uniforms_mv[pos] * total)
             else:
                 self._apply_event(draws.next() * total)
             events += 1

@@ -687,3 +687,33 @@ class TestSalvageMode:
         assert [record.index for record in salvaged.records] == [
             0, 2, 3, 4, 5, 6, 7,
         ]
+
+    def test_prefix_read_stops_before_later_corruption(self, tmp_path):
+        """``max_records`` stops the parse at the prefix: a garbage line
+        past it is never read, while a full strict read still raises."""
+        spec = small_spec(num_swarms=12)
+        log = tmp_path / "fleet.jsonl"
+        run_fleet(spec, seed=1, log_path=log)
+        intact = read_log(log)
+        lines = log.read_bytes().split(b"\n")
+        lines[9] = b"\x00\xff garbage \xfe"  # line 10 of the file
+        log.write_bytes(b"\n".join(lines))
+        prefix = read_log(log, max_records=3)
+        assert prefix.records == intact.records[:3]
+        assert prefix.offsets == intact.offsets[:3]
+        assert prefix.header_end == intact.header_end
+        with pytest.raises(FleetLogError, match="corrupt"):
+            read_log(log)
+        with pytest.raises(ValueError, match="max_records"):
+            read_log(log, max_records=-1)
+
+    def test_prefix_read_salvages_within_the_prefix(self, tmp_path):
+        spec = small_spec(num_swarms=8)
+        log = tmp_path / "fleet.jsonl"
+        run_fleet(spec, seed=1, log_path=log)
+        self._corrupt_record_line(log, 1)
+        self._corrupt_record_line(log, 6)
+        with pytest.warns(UserWarning, match="checksum"):
+            prefix = read_log(log, max_records=4, strict=False)
+        assert prefix.salvaged == 1
+        assert [record.index for record in prefix.records] == [0, 2, 3, 4]
