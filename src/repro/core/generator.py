@@ -10,6 +10,11 @@ the (sparse) generator matrix ``Q`` and compute exact quantities:
 * expected hitting times of the empty state (a proxy for recovery time from
   heavy load).
 
+The model-specific part is the state enumeration; the generator assembly and
+the solvers are the generic ones of :mod:`repro.markov.chain`, fed by
+:func:`~repro.core.transitions.transition_function`.  scipy is loaded by those
+on first use, not when this module is imported.
+
 These exact computations back up the asymptotic Theorem-1 classification on
 small instances and are used by unit tests and by the Lyapunov benchmark.
 """
@@ -17,15 +22,17 @@ small instances and are used by unit tests and by the Lyapunov benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from ..markov import chain
 from .parameters import SystemParameters
 from .state import SystemState
-from .transitions import outgoing_transitions
+from .transitions import outgoing_transitions, transition_function
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -62,22 +69,11 @@ class TruncatedChain:
     def stationary_distribution(self) -> np.ndarray:
         """Stationary distribution ``π`` of the truncated chain (``π Q = 0``).
 
-        Solved as a dense linear system with the normalisation constraint
-        replacing one (redundant) balance equation; adequate for the state
-        space sizes used in tests and benchmarks (up to a few tens of
-        thousands of states).
+        The dense least-squares solve of :mod:`repro.markov.chain`, adequate
+        for the state space sizes used in tests and benchmarks (up to a few
+        tens of thousands of states).
         """
-        size = self.num_states
-        dense = self.generator.toarray().T  # columns: balance equations
-        system = np.vstack([dense, np.ones((1, size))])
-        rhs = np.zeros(size + 1)
-        rhs[-1] = 1.0
-        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        solution = np.clip(solution, 0.0, None)
-        total = solution.sum()
-        if total <= 0:
-            raise RuntimeError("stationary distribution solve failed")
-        return solution / total
+        return chain.stationary_distribution(self.generator)
 
     def expected_population(self, distribution: Optional[np.ndarray] = None) -> float:
         """``E[N]`` under the stationary distribution of the truncation."""
@@ -111,14 +107,8 @@ class TruncatedChain:
         if start not in self.index:
             raise ValueError(f"state {start!r} is not in the truncation")
         empty_idx = self.index[SystemState.empty(self.params.num_pieces)]
-        keep = [i for i in range(self.num_states) if i != empty_idx]
-        position = {state_idx: row for row, state_idx in enumerate(keep)}
-        submatrix = self.generator[keep, :][:, keep].tocsc()
-        rhs = -np.ones(len(keep))
-        hitting = spla.spsolve(submatrix, rhs)
-        if start == SystemState.empty(self.params.num_pieces):
-            return 0.0
-        return float(hitting[position[self.index[start]]])
+        times = chain.expected_hitting_times(self.generator, [empty_idx])
+        return float(times[self.index[start]])
 
 
 def enumerate_states(
@@ -151,11 +141,9 @@ def enumerate_states(
         frontier = next_frontier
     # Put the empty state first (it may not be `start`).
     empty = SystemState.empty(params.num_pieces)
-    if empty not in seen:
-        order.insert(0, empty)
-    else:
+    if empty in seen:
         order.remove(empty)
-        order.insert(0, empty)
+    order.insert(0, empty)
     return order
 
 
@@ -164,36 +152,18 @@ def build_truncated_chain(
     max_peers: int,
     initial: Optional[SystemState] = None,
 ) -> TruncatedChain:
-    """Enumerate states and assemble the sparse generator of the truncation."""
+    """Enumerate states and assemble the sparse generator of the truncation.
+
+    Arrivals at the cap leave the state list and are blocked: they count
+    neither as an entry nor in the exit rate.
+    """
     states = enumerate_states(params, max_peers, initial=initial)
-    index = {state: i for i, state in enumerate(states)}
-    rows: List[int] = []
-    cols: List[int] = []
-    data: List[float] = []
-    for i, state in enumerate(states):
-        exit_rate = 0.0
-        for transition in outgoing_transitions(state, params):
-            j = index.get(transition.target)
-            if j is None:
-                # Transition leaves the truncation (an arrival at the cap):
-                # block it, i.e. do not count it in the exit rate either.
-                continue
-            rows.append(i)
-            cols.append(j)
-            data.append(transition.rate)
-            exit_rate += transition.rate
-        rows.append(i)
-        cols.append(i)
-        data.append(-exit_rate)
-    generator = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(states), len(states))
-    )
     return TruncatedChain(
         params=params,
         max_peers=max_peers,
         states=states,
-        index=index,
-        generator=generator,
+        index={state: i for i, state in enumerate(states)},
+        generator=chain.build_generator(states, transition_function(params)),
     )
 
 

@@ -19,22 +19,24 @@ Two Lyapunov functions are used in the paper:
   ``H'_C = Σ_{C' ⊄ C}(K+1−|C'|) x_{C'}``.
 
 This module evaluates both functions and their exact drifts
-``QW(x) = Σ_{x'} q(x, x') (W(x') − W(x))`` using the transition enumeration of
-:mod:`repro.core.transitions`, so the Foster–Lyapunov negativity can be
-verified numerically on heavy-load states (benchmark E9).
+``QW(x) = Σ_{x'} q(x, x') (W(x') − W(x))`` (:func:`repro.markov.foster.drift`
+over the transition enumeration of :mod:`repro.core.transitions`), so the
+Foster–Lyapunov negativity can be verified numerically on heavy-load states
+(benchmark E9).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..markov import foster
 from .parameters import SystemParameters
+from .stability import _demand_and_supply
 from .state import SystemState
-from .transitions import outgoing_transitions
+from .transitions import transition_function
 from .types import PieceSet, all_types
 
 
@@ -120,19 +122,8 @@ class LyapunovConfig:
         demand_supply_ratio = 0.0
         if ratio < 1.0:
             for type_c in all_types(num_pieces, include_full=False):
-                demand = sum(
-                    rate
-                    for arr_type, rate in params.arrival_rates.items()
-                    if arr_type.issubset(type_c)
-                )
-                supply = (
-                    params.seed_rate
-                    + sum(
-                        rate * (num_pieces - len(arr_type) + ratio)
-                        for arr_type, rate in params.arrival_rates.items()
-                        if not arr_type.issubset(type_c)
-                    )
-                ) / (1.0 - ratio)
+                demand, supply = _demand_and_supply(params, type_c, ratio)
+                supply /= 1.0 - ratio
                 if supply > 0:
                     demand_supply_ratio = max(demand_supply_ratio, demand / supply)
         alpha = min(0.999, max(0.75, (1.0 + min(demand_supply_ratio, 1.0)) / 2.0))
@@ -142,17 +133,7 @@ class LyapunovConfig:
         # the supply term is positive; double it for slack.
         p = 1.0
         for type_c in all_types(num_pieces, include_full=False):
-            demand = sum(
-                rate
-                for arr_type, rate in params.arrival_rates.items()
-                if arr_type.issubset(type_c)
-            )
-            effective_ratio = min(ratio, 1.0)
-            supply = params.seed_rate + sum(
-                rate * (num_pieces - len(arr_type) + effective_ratio)
-                for arr_type, rate in params.arrival_rates.items()
-                if not arr_type.issubset(type_c)
-            )
+            demand, supply = _demand_and_supply(params, type_c, min(ratio, 1.0))
             if supply > 0 and demand > 0:
                 p = max(p, 2.0 * demand / supply)
         return cls(r=0.1, d=d, beta=beta, alpha=alpha, p=p)
@@ -215,11 +196,7 @@ class LyapunovFunction:
 
     def drift(self, state: SystemState) -> float:
         """Exact generator drift ``QW(x) = Σ_{x'≠x} q(x,x')(W(x') − W(x))``."""
-        here = self(state)
-        total = 0.0
-        for transition in outgoing_transitions(state, self.params):
-            total += transition.rate * (self(transition.target) - here)
-        return total
+        return foster.drift(transition_function(self.params), self, state)
 
     def drift_per_peer(self, state: SystemState) -> float:
         """Drift normalised by the population size (the ``−ξ n`` criterion)."""

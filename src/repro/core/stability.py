@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .parameters import SystemParameters
-from .types import PieceSet, all_types, format_type
+from .types import PieceSet, all_types
 
 
 class Stability(Enum):
@@ -93,6 +93,36 @@ class StabilityReport:
         return "\n".join(lines)
 
 
+def _gifted_supply(params: SystemParameters, piece: int) -> float:
+    """The gifted supply ``G_k = Σ_{C ∋ k} λ_C (K + 1 − |C|)`` of ``piece``."""
+    return sum(
+        rate * (params.num_pieces + 1 - len(type_c))
+        for type_c, rate in params.arrival_rates.items()
+        if piece in type_c
+    )
+
+
+def _demand_and_supply(
+    params: SystemParameters, subset: PieceSet, ratio: float
+) -> Tuple[float, float]:
+    """``(λ_{E_S}, U_s + Σ_{C ⊄ S} λ_C (K − |C| + r))`` for the ratio ``r``.
+
+    The two sides of ``Δ_S`` before the branching factor ``1/(1 − r)``; no
+    check on the regime, which is the caller's.
+    """
+    inside = sum(
+        rate
+        for type_c, rate in params.arrival_rates.items()
+        if type_c.issubset(subset)
+    )
+    outside = sum(
+        rate * (params.num_pieces - len(type_c) + ratio)
+        for type_c, rate in params.arrival_rates.items()
+        if not type_c.issubset(subset)
+    )
+    return inside, params.seed_rate + outside
+
+
 def delta_s(params: SystemParameters, subset: PieceSet) -> float:
     """``Δ_S`` of Eq. (4) for ``S ∈ 𝒞 − {F}``.
 
@@ -109,17 +139,8 @@ def delta_s(params: SystemParameters, subset: PieceSet) -> float:
             "delta_s requires mu < gamma; in the regime gamma <= mu the system "
             "is stable whenever every piece can enter (Theorem 1(b))"
         )
-    inside = sum(
-        rate
-        for type_c, rate in params.arrival_rates.items()
-        if type_c.issubset(subset)
-    )
-    outside = sum(
-        rate * (params.num_pieces - len(type_c) + ratio)
-        for type_c, rate in params.arrival_rates.items()
-        if not type_c.issubset(subset)
-    )
-    return inside - (params.seed_rate + outside) / (1.0 - ratio)
+    demand, supply = _demand_and_supply(params, subset, ratio)
+    return demand - supply / (1.0 - ratio)
 
 
 def piece_threshold(params: SystemParameters, piece: int) -> float:
@@ -137,12 +158,7 @@ def piece_threshold(params: SystemParameters, piece: int) -> float:
     ratio = params.mu_over_gamma
     if ratio >= 1.0:
         return math.inf
-    numerator = params.seed_rate + sum(
-        rate * (params.num_pieces + 1 - len(type_c))
-        for type_c, rate in params.arrival_rates.items()
-        if piece in type_c
-    )
-    return numerator / (1.0 - ratio)
+    return (params.seed_rate + _gifted_supply(params, piece)) / (1.0 - ratio)
 
 
 def piece_condition(params: SystemParameters, piece: int) -> PieceCondition:
@@ -250,11 +266,7 @@ def critical_arrival_scale(params: SystemParameters) -> float:
     lam = params.lambda_total
     scales = []
     for piece in range(1, params.num_pieces + 1):
-        gifted = sum(
-            rate * (params.num_pieces + 1 - len(type_c))
-            for type_c, rate in params.arrival_rates.items()
-            if piece in type_c
-        )
+        gifted = _gifted_supply(params, piece)
         demand = lam * (1.0 - ratio)
         # boundary: alpha * demand = Us + alpha * gifted
         if demand <= gifted:
@@ -270,22 +282,18 @@ def critical_seed_rate(params: SystemParameters) -> float:
     """Smallest fixed-seed rate ``U_s`` that stabilises the given arrivals.
 
     Zero when the system is already stable without a fixed seed (for example
-    when ``γ ≤ µ`` and arrivals inject every piece).  Returns ``inf`` only in
-    the degenerate case where a piece cannot enter even with a seed, which
-    cannot happen since the seed holds all pieces.
+    when ``γ ≤ µ`` and arrivals inject every piece).  When ``γ ≤ µ`` and some
+    piece cannot enter, it is also zero, the boundary: any ``U_s > 0`` lets
+    every piece enter, so the system is stable for every ``U_s > 0`` and
+    unstable at ``U_s = 0``.
     """
     ratio = params.mu_over_gamma
     if ratio >= 1.0:
-        return 0.0 if params.all_pieces_can_enter() else math.inf * 0 + 0.0
+        return 0.0
     lam = params.lambda_total
     required = 0.0
     for piece in range(1, params.num_pieces + 1):
-        gifted = sum(
-            rate * (params.num_pieces + 1 - len(type_c))
-            for type_c, rate in params.arrival_rates.items()
-            if piece in type_c
-        )
-        need = lam * (1.0 - ratio) - gifted
+        need = lam * (1.0 - ratio) - _gifted_supply(params, piece)
         required = max(required, need)
     return max(0.0, required)
 
@@ -311,17 +319,12 @@ def critical_departure_rate(params: SystemParameters) -> float:
     # for the worst piece k: gamma < mu / (1 - (Us + G_k)/lambda_total).
     worst = math.inf
     for piece in range(1, params.num_pieces + 1):
-        gifted = sum(
-            rate * (params.num_pieces + 1 - len(type_c))
-            for type_c, rate in params.arrival_rates.items()
-            if piece in type_c
-        )
-        supply = params.seed_rate + gifted
+        supply = params.seed_rate + _gifted_supply(params, piece)
         if supply >= lam:
             continue  # this piece is never the bottleneck
         bound = mu / (1.0 - supply / lam)
         worst = min(worst, bound)
-    return max(best, worst) if worst is not math.inf else math.inf
+    return math.inf if math.isinf(worst) else max(best, worst)
 
 
 def minimum_mean_dwell_time(params: SystemParameters) -> float:

@@ -14,7 +14,8 @@ The chain moves in three ways:
 * **departure** of a peer seed at rate ``γ x_F`` (only when ``γ < ∞``).
 
 This module computes individual rates, enumerates all outgoing transitions of
-a state (for exact generator construction and for jump-chain simulation), and
+a state (:func:`transition_function` hands them, as ``(rate, target)`` pairs,
+to the generator assembly, the drift and the jump-chain simulator), and
 provides the aggregate download/upload rates used by the Lyapunov analysis.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .parameters import SystemParameters
 from .state import SystemState
@@ -164,6 +165,17 @@ def outgoing_transitions(
     return transitions
 
 
+def transition_function(
+    params: SystemParameters,
+) -> Callable[[SystemState], List[Tuple[float, SystemState]]]:
+    """``state ↦ [(rate, target), ...]``, the form :mod:`repro.markov` takes."""
+
+    def expand(state: SystemState) -> List[Tuple[float, SystemState]]:
+        return [(t.rate, t.target) for t in outgoing_transitions(state, params)]
+
+    return expand
+
+
 def total_exit_rate(state: SystemState, params: SystemParameters) -> float:
     """Total rate out of ``state`` (the negated diagonal generator entry)."""
     return sum(t.rate for t in outgoing_transitions(state, params))
@@ -234,6 +246,7 @@ __all__ = [
     "upgrade_rate",
     "seed_departure_rate",
     "outgoing_transitions",
+    "transition_function",
     "total_exit_rate",
     "departure_rate_from_type",
     "total_download_rate",

@@ -698,7 +698,6 @@ def run_adaptive_fleet(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     log_path: Optional[Union[str, Path]] = None,
     stop_after_swarms: Optional[int] = None,
     suspend_after_events: Optional[int] = None,
@@ -726,7 +725,6 @@ def run_adaptive_fleet(
         workers=workers,
         chunk_size=chunk_size,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
         log_path=log_path,
         fsync_every_n=fsync_every_n,
         stacked=stacked,
@@ -746,7 +744,6 @@ def resume_adaptive_fleet(
     checkpoint_path: Union[str, Path],
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    checkpoint_every: int = 1,
     fsync_every_n: int = 1,
     stacked: bool = False,
     max_retries: int = 0,
@@ -759,7 +756,6 @@ def resume_adaptive_fleet(
         checkpoint_path,
         workers=workers,
         chunk_size=chunk_size,
-        checkpoint_every=checkpoint_every,
         fsync_every_n=fsync_every_n,
         stacked=stacked,
         max_retries=max_retries,

@@ -28,7 +28,7 @@ one round per acquisition step.  For every round:
   (``tail -f``) and its census rebuilt at any time via
   :meth:`FleetResult.from_log`;
 * **checkpoint / resume** — with a ``checkpoint_path``, progress is saved
-  after every ``checkpoint_every`` chunks (atomically; see
+  after every completed chunk (atomically; see
   :mod:`repro.fleet.checkpoint`).  A checkpoint is just a byte offset into
   the log plus, when the run stopped mid-swarm, the suspended simulator's
   kernel snapshot (``suspend_after_events`` / ``capture_state``).
@@ -243,9 +243,9 @@ class PersistentFleetExecution:
         Consecutive swarms per worker dispatch (default: a few chunks per
         worker lane).
     checkpoint_path:
-        When set, progress is checkpointed here after every
-        ``checkpoint_every`` completed chunks (and at every stop); the
-        checkpoint stores only an offset into the JSONL log.
+        When set, progress is checkpointed here after every completed
+        chunk (and at every stop); the checkpoint stores only an offset
+        into the JSONL log.
     log_path:
         The one append-only JSONL fleet log file.  Defaults to a sibling of
         ``checkpoint_path`` (``<checkpoint>.jsonl``) when checkpointing is
@@ -286,7 +286,6 @@ class PersistentFleetExecution:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         log_path: Optional[Union[str, Path]] = None,
         fsync_every_n: int = 1,
         stacked: bool = False,
@@ -303,8 +302,6 @@ class PersistentFleetExecution:
             )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if fsync_every_n < 1:
             raise ValueError(f"fsync_every_n must be >= 1, got {fsync_every_n}")
         from ..experiments.runner import _check_supervision
@@ -320,7 +317,6 @@ class PersistentFleetExecution:
             self._round_size(), workers, stacked
         )
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.checkpoint_every = checkpoint_every
         self.max_retries = max_retries
         self.task_timeout = task_timeout
         self.retry_backoff = retry_backoff
@@ -430,7 +426,6 @@ class PersistentFleetExecution:
         checkpoint_path: Union[str, Path],
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        checkpoint_every: int = 1,
         fsync_every_n: int = 1,
         stacked: bool = False,
         max_retries: int = 0,
@@ -449,7 +444,6 @@ class PersistentFleetExecution:
             workers=workers,
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
             fsync_every_n=fsync_every_n,
             stacked=stacked,
             max_retries=max_retries,
@@ -528,13 +522,9 @@ class PersistentFleetExecution:
                     (spec, to_run[start : start + self.chunk_size], self.fault_plan)
                     for start in range(0, run_now, self.chunk_size)
                 ]
-                since_checkpoint = 0
                 for chunk_records in self._map_chunks(run_chunk, chunks, pool):
                     self._fold(result, writer, chunk_records)
-                    since_checkpoint += 1
-                    if since_checkpoint >= self.checkpoint_every:
-                        self._write_checkpoint(result, seed, writer)
-                        since_checkpoint = 0
+                    self._write_checkpoint(result, seed, writer)
                 if run_now < len(tasks):
                     # Deterministic kill: optionally suspend the next swarm
                     # mid-flight so the checkpoint carries a kernel snapshot
@@ -714,7 +704,6 @@ def run_fleet(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     log_path: Optional[Union[str, Path]] = None,
     stop_after_swarms: Optional[int] = None,
     suspend_after_events: Optional[int] = None,
@@ -742,7 +731,6 @@ def run_fleet(
         workers=workers,
         chunk_size=chunk_size,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
         log_path=log_path,
         fsync_every_n=fsync_every_n,
         stacked=stacked,
@@ -762,7 +750,6 @@ def resume_fleet(
     checkpoint_path: Union[str, Path],
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    checkpoint_every: int = 1,
     fsync_every_n: int = 1,
     stacked: bool = False,
     max_retries: int = 0,
@@ -775,7 +762,6 @@ def resume_fleet(
         checkpoint_path,
         workers=workers,
         chunk_size=chunk_size,
-        checkpoint_every=checkpoint_every,
         fsync_every_n=fsync_every_n,
         stacked=stacked,
         max_retries=max_retries,

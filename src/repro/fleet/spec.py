@@ -335,15 +335,6 @@ def task_for_point(
     )
 
 
-#: Memo of fully materialized task lists keyed by ``(spec, seed token)``.
-#: Tasks are frozen and nothing mutates ``task.seed`` (simulators build
-#: their Generator without spawning), so sharing the objects across calls
-#: is safe — and the adaptive driver / bench harness re-materialize the
-#: same spec every round, which made this a measurable fixed cost.
-_MATERIALIZE_MEMO: Dict[Tuple, List[SwarmTask]] = {}
-_MATERIALIZE_MEMO_MAX = 8
-
-
 def materialize_tasks(spec: FleetSpec, seed: SeedLike = 0) -> List[SwarmTask]:
     """Expand a spec into its deterministic per-swarm task list.
 
@@ -353,21 +344,7 @@ def materialize_tasks(spec: FleetSpec, seed: SeedLike = 0) -> List[SwarmTask]:
     fleet outcome — is a pure function of ``(spec, seed token)``,
     independent of worker count, chunking, and how often it is called.
     """
-    token = normalize_fleet_seed(seed)
-    memo_key: Optional[Tuple] = None
-    if isinstance(token, dict):
-        hashable_token = (token["entropy"], tuple(token["spawn_key"]))
-    else:
-        hashable_token = token
-    try:
-        cached = _MATERIALIZE_MEMO.get((spec, hashable_token))
-    except TypeError:  # unhashable sampler/override payloads: skip the memo
-        cached = None
-    else:
-        memo_key = (spec, hashable_token)
-        if cached is not None:
-            return list(cached)
-    root = _root_sequence(token)
+    root = _root_sequence(normalize_fleet_seed(seed))
     children = root.spawn(spec.num_swarms)
     cumprobs = spec.mix_cumprobs()
     tasks: List[SwarmTask] = []
@@ -410,11 +387,6 @@ def materialize_tasks(spec: FleetSpec, seed: SeedLike = 0) -> List[SwarmTask]:
                 seed=simulation_seq,
             )
         tasks.append(task)
-    if memo_key is not None:
-        if len(_MATERIALIZE_MEMO) >= _MATERIALIZE_MEMO_MAX:
-            _MATERIALIZE_MEMO.clear()
-        _MATERIALIZE_MEMO[memo_key] = tasks
-        return list(tasks)
     return tasks
 
 

@@ -15,7 +15,7 @@ transition-enumeration function:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, Tuple, TypeVar
 
 StateT = TypeVar("StateT", bound=Hashable)
 TransitionFn = Callable[[StateT], Sequence[Tuple[float, StateT]]]
@@ -28,11 +28,11 @@ def drift(
 ) -> float:
     """Generator drift ``QV(x)`` of ``function`` at ``state``."""
     here = function(state)
-    return sum(
-        rate * (function(target) - here)
-        for rate, target in transition_function(state)
-        if rate > 0
-    )
+    total = 0.0  # a plain loop: ``sum`` of floats rounds differently on 3.12+
+    for rate, target in transition_function(state):
+        if rate > 0:
+            total += rate * (function(target) - here)
+    return total
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,23 @@ peer's Poisson clock individually, because the number of distinct types is
 tiny compared with the number of peers.  :class:`MarkovChainSimulator` does
 exactly that and records a trajectory of sampled statistics.
 
-The simulator is generic over a ``rate_function`` returning the outgoing
-transitions of a state, so it is reused by the µ = ∞ watched chain of
-Section VIII-D and by tests with hand-built toy chains.
+The simulator is generic over a transition function returning the
+``(rate, target)`` pairs of a state, the same form the exact tools of
+:mod:`repro.markov` take; :class:`MarkovChainSimulator` feeds it
+:func:`repro.core.transitions.transition_function`.  It is reused by the
+µ = ∞ watched chain of Section VIII-D and by tests with hand-built toy chains.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..core.parameters import SystemParameters
 from ..core.state import SystemState
-from ..core.transitions import Transition, outgoing_transitions
+from ..core.transitions import transition_function
 from .rng import SeedLike, make_rng
 
 StateT = TypeVar("StateT", bound=Hashable)
@@ -160,16 +161,11 @@ class MarkovChainSimulator:
 
     def __init__(self, params: SystemParameters):
         self.params = params
+        self._transitions = transition_function(params)
         self._generic = GenericCtmcSimulator(
-            transition_function=self._expand,
+            transition_function=self._transitions,
             observe=lambda state: float(state.total_peers),
         )
-
-    def _expand(self, state: SystemState) -> List[Tuple[float, SystemState]]:
-        return [
-            (transition.rate, transition.target)
-            for transition in outgoing_transitions(state, self.params)
-        ]
 
     def run(
         self,
@@ -193,7 +189,7 @@ class MarkovChainSimulator:
         )
         simulator = self._generic
         if observe is not None:
-            simulator = GenericCtmcSimulator(self._expand, observe=observe)
+            simulator = GenericCtmcSimulator(self._transitions, observe=observe)
         return simulator.run(
             initial_state=start,
             horizon=horizon,

@@ -32,7 +32,7 @@ event sampling uses cumulative rates with no per-event array rebuilds.
 
 Equivalence contract
 --------------------
-The aggregate-rate event loop (``run`` / ``step`` / event dispatch) is
+The aggregate-rate event loop (``run`` / event dispatch) is
 inherited from the shared :class:`~repro.swarm.swarm._SwarmEventLoop` driver,
 so the RNG-consumption contract has a single implementation; the kernel only
 supplies the SoA state representation, the event handlers and the sampling

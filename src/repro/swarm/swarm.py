@@ -40,7 +40,7 @@ import copy
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -574,29 +574,6 @@ class _SwarmEventLoop:
     def _remove_slot(self, slot: int) -> None:
         """Remove the peer at population slot ``slot`` (departure semantics)."""
         raise NotImplementedError
-
-    def step(self) -> bool:
-        """Execute one event; returns False when no event can occur."""
-        if self._rates_dirty:
-            self._refresh_rates()
-        total = self._rate_total
-        if total <= 0:
-            return False
-        next_time = self._time + self.draws.exponential(self._rate_scale)
-        if (
-            self._cull_time is not None
-            and not self._cull_done
-            and next_time >= self._cull_time
-        ):
-            # The flash-exit cull fires as a deterministic interrupt; the
-            # exponential is discarded (memoryless, so statistically exact)
-            # and the selector has not been drawn yet.
-            self._time = self._cull_time
-            self._execute_cull()
-            return True
-        self._time = next_time
-        self._apply_event(self.draws.next() * total)
-        return True
 
     def run(
         self,

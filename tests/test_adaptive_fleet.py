@@ -355,15 +355,12 @@ class TestPersistenceSequence:
             workers=1,
             chunk_size=2,
             checkpoint_path=path,
-            checkpoint_every=1,
             stop_after_swarms=stop,
             suspend_after_events=5,
         )
         assert " ".join(persistence_trace) == expected_run
         persistence_trace.clear()
-        driver_class.from_checkpoint(
-            path, workers=1, chunk_size=2, checkpoint_every=1
-        ).resume()
+        driver_class.from_checkpoint(path, workers=1, chunk_size=2).resume()
         assert " ".join(persistence_trace) == expected_resume
 
 

@@ -507,7 +507,7 @@ from test_faults import small_spec
 
 plan = FaultPlan(kill_points=(7,))
 run_fleet(small_spec(), seed=11, checkpoint_path=sys.argv[1],
-          checkpoint_every=1, chunk_size=2, fault_plan=plan)
+          chunk_size=2, fault_plan=plan)
 raise SystemExit("kill point did not fire")
 """
 
@@ -519,7 +519,7 @@ from test_faults import tiny_adaptive_spec
 
 plan = FaultPlan(kill_points=(7,))
 run_adaptive_fleet(tiny_adaptive_spec(), seed=17, checkpoint_path=sys.argv[1],
-                   checkpoint_every=1, chunk_size=2, fault_plan=plan)
+                   chunk_size=2, fault_plan=plan)
 raise SystemExit("kill point did not fire")
 """
 

@@ -5,8 +5,9 @@ Every entry point a user starts from (``repro``, ``repro.experiments.*``,
 without scipy: the exact-chain helpers (``repro.markov.chain``), the limit
 solvers (``repro.limits.fluid``, ``repro.limits.mu_infinity``) and the
 confidence interval (``repro.analysis.statistics``) import it inside the
-function that needs it.  Each check runs in a fresh interpreter, because the
-test process has scipy loaded already.
+function that needs it; the truncated chain (``repro.core.generator``) loads
+it only through the exact-chain helpers.  Each check runs in a fresh
+interpreter, because the test process has scipy loaded already.
 
 * ``TestWithoutScipy`` sets ``sys.modules["scipy"] = None`` before importing
   the package, so any scipy import raises, and runs tiny user calls;
@@ -148,6 +149,28 @@ _HELPERS = {
         expected = spla.spsolve(sp.csc_matrix(dense[1:, 1:]), -np.ones(4))
         assert times[0] == 0.0
         assert np.allclose(times[1:], expected, rtol=1e-12)
+    """,
+    "truncated_chain": """
+        from repro import SystemParameters
+        from repro.core.generator import build_truncated_chain
+        cold
+        params = SystemParameters.flash_crowd(1, 1.0, 1.5, peer_rate=1.0,
+                                              seed_departure_rate=2.0)
+        chain = build_truncated_chain(params, max_peers=6)
+        pi = chain.stationary_distribution()
+        hit = [chain.mean_hitting_time_to_empty(s) for s in chain.states]
+        warm
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        dense = chain.generator.toarray()
+        balance = dense.T.copy()
+        balance[-1, :] = 1.0
+        rhs = np.zeros(len(dense))
+        rhs[-1] = 1.0
+        assert np.allclose(pi, spla.spsolve(sp.csc_matrix(balance), rhs), atol=1e-12)
+        expected = spla.spsolve(sp.csc_matrix(dense[1:, 1:]), -np.ones(len(dense) - 1))
+        assert hit[0] == 0.0
+        assert np.allclose(hit[1:], expected, rtol=1e-12)
     """,
     "uniformized_transition_matrix": """
         from repro.markov import transient_distribution, uniformized_transition_matrix

@@ -93,19 +93,6 @@ def test_cache_tracks_retry_speedup_lists(backend, flash_crowd_stable):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_step_uses_a_valid_cache(backend, flash_crowd_stable):
-    sim = make_simulator(flash_crowd_stable, seed=3, backend=backend)
-    sim.seed_population(SystemState.one_club(flash_crowd_stable.num_pieces, 8))
-    assert sim._rates_dirty
-    clean = 0
-    for _ in range(300):
-        if not sim.step():
-            break
-        clean += _check_cache(sim)
-    assert clean > 50
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["heterogeneous-classes", "sparse-overlay", None])
 def test_cache_after_restore(name, backend, flash_crowd_stable):
     if name is None:

@@ -216,6 +216,15 @@ class TestCriticalParameters:
         )
         assert critical_seed_rate(params) == 0.0
 
+    def test_critical_seed_rate_is_the_boundary_when_gamma_small_and_blocked(self):
+        """γ ≤ µ with no piece entering at U_s = 0: any U_s > 0 stabilises."""
+        params = SystemParameters.flash_crowd(
+            2, arrival_rate=1.0, seed_rate=0.0, peer_rate=1.0, seed_departure_rate=0.5
+        )
+        assert critical_seed_rate(params) == 0.0
+        assert analyze(params).is_unstable
+        assert analyze(params.with_seed_rate(1e-6)).is_stable
+
     def test_critical_arrival_scale(self):
         params = SystemParameters.flash_crowd(3, arrival_rate=1.0, seed_rate=2.0)
         scale = critical_arrival_scale(params)

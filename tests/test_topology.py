@@ -392,13 +392,18 @@ class TestFlashExitScenario:
             backend="object",
             scenario=scenario,
         )
-        sim.seed_population(SystemState.one_club(scenario.params.num_pieces, 10))
-        while sim.now < 2.0 and sim.step():
-            pass
+        club = SystemState.one_club(scenario.params.num_pieces, 10)
+        # One event per resumed segment, up to the first one past t = 2.
+        events = 1
+        result = sim.run(4.0, initial_state=club, suspend_after_events=events)
+        while result.suspended and sim.now < 2.0:
+            events += 1
+            result = sim.run(4.0, resume=True, suspend_after_events=events)
         culled = sim.metrics.culled_peers
         assert culled >= 10  # the initial club plus any pre-cull arrivals
-        while sim.now < 4.0 and sim.step():
-            pass
+        while result.suspended:
+            events += 1
+            result = sim.run(4.0, resume=True, suspend_after_events=events)
         assert sim.metrics.culled_peers == culled
 
 
