@@ -53,17 +53,26 @@ def mean_confidence_interval(
 
 
 def linear_slope(times: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of ``values`` against ``times``."""
+    """Least-squares slope of ``values`` against ``times``; the one trend fit.
+
+    The closed-form simple-regression slope ``cov(t, y) / var(t)``: the line
+    a degree-1 least-squares polynomial fit solves for, without the
+    rank-checked SVD setup, which dominated the fleet aggregator's per-swarm
+    classification.  Zero for fewer than two points or a constant ``times``.
+    """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size < 2 or np.ptp(t) == 0:
         return 0.0
-    slope, _ = np.polyfit(t, y, 1)
-    return float(slope)
+    t_centered = t - t.mean()
+    return float(np.dot(t_centered, y) / np.dot(t_centered, t_centered))
 
 
 def trailing_window(values: Sequence[float], fraction: float) -> np.ndarray:
-    """The last ``fraction`` of a sequence as an array."""
+    """The last ``fraction`` of a sequence as an array; the one tail window.
+
+    Every verdict and tail statistic of a run reads the samples it picks.
+    """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
     data = np.asarray(values, dtype=float)

@@ -302,13 +302,13 @@ def critical_departure_rate(params: SystemParameters) -> float:
     """Largest peer-seed departure rate ``γ`` keeping the system stable.
 
     Equivalently ``1/γ*`` is the smallest mean dwell time peer seeds need.
-    Returns ``inf`` when the system is stable even with instant departures
-    (``γ = ∞``), and a value ``≤ µ`` when the system needs peer seeds to
-    upload at least one extra piece on average (the paper's corollary).
+    Returns ``inf`` when the system is stable at every ``γ`` (every piece's
+    supply ``U_s + G_k`` covers ``λ_total``, the ``γ → ∞`` limit of Eq. (3)),
+    and a value ``≤ µ`` when the system needs peer seeds to upload at least
+    one extra piece on average (the paper's corollary).  The limit is read
+    from the supplies, because ``SystemParameters`` rejects ``γ = ∞`` when
+    the full type arrives.
     """
-    # Stable with gamma = inf?
-    if analyze(params.with_departure_rate(math.inf)).is_stable:
-        return math.inf
     if not params.all_pieces_can_enter():
         # Even infinite dwell cannot create copies of a piece nobody injects.
         return 0.0

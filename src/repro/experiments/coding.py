@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.statistics import linear_slope
 from ..analysis.tables import format_table
 from ..core.coding_theory import (
     gifted_fraction_thresholds,

@@ -14,8 +14,8 @@ calls (not a fleet): the staleness and estimate-error numbers live in
 per-swarm :class:`~repro.swarm.metrics.SwarmMetrics`, which fleet records
 deliberately do not carry, and the explicit rarest-first policy is a
 simulator argument the fleet spec does not model.  A swarm counts as
-*captured* by the same criterion the fleet layer uses (final one-club
-holding at least half the final population and at least 10 peers).
+*captured* by the criterion the fleet layer uses,
+:func:`~repro.markov.classify.is_captured`.
 
 Interpretation: rarest-first is the policy that *uses* the census — with
 a lazy gossip census (low exchange rate) its picks are driven by stale
@@ -35,6 +35,7 @@ import numpy as np
 from ..analysis.tables import format_table
 from ..core.scenario import make_scenario
 from ..core.state import SystemState
+from ..markov.classify import is_captured
 from ..swarm.gossip import CensusSpec
 from ..swarm.policies import make_policy
 from ..swarm.swarm import run_swarm
@@ -47,11 +48,6 @@ DEFAULT_SCENARIOS: Tuple[str, ...] = ("flash-crowd", "sparse-overlay")
 
 #: Default gossip exchange rates swept (lazy → chatty).
 DEFAULT_EXCHANGE_RATES: Tuple[float, ...] = (0.05, 0.35, 0.9)
-
-#: The fleet layer's capture criterion, mirrored here so the cells stay
-#: comparable with E12/E13 prevalence numbers.
-CAPTURE_FRACTION = 0.5
-CAPTURE_MIN_CLUB = 10
 
 
 @dataclass(frozen=True)
@@ -192,9 +188,7 @@ def run_gossip_census_experiment(
                 final_club = (
                     metrics.one_club_size[-1] if metrics.one_club_size else 0
                 )
-                if final_club >= CAPTURE_MIN_CLUB and final_club >= (
-                    CAPTURE_FRACTION * max(result.final_population, 1)
-                ):
+                if is_captured(final_club, result.final_population):
                     captured += 1
                 if rate is not None:
                     staleness.append(metrics.mean_census_staleness())

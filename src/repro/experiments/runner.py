@@ -786,23 +786,17 @@ def run_stability_trial(
         initial_state=initial_state,
         max_population=max_population,
     )
-    classifications: List[TrajectoryClassification] = []
-    results: List[SwarmResult] = []
-    slopes: List[float] = []
-    populations: List[float] = []
-    for result in batch.results:
-        metrics = result.metrics
-        classification = classify_trajectory(
-            metrics.sample_times,
-            metrics.population,
+    classifications = [
+        classify_trajectory(
+            result.metrics.sample_times,
+            result.metrics.population,
             arrival_rate=params.lambda_total,
             last_fraction=last_fraction,
         )
-        classifications.append(classification)
-        slopes.append(classification.normalized_slope)
-        populations.append(metrics.mean_population(last_fraction))
-        if keep_results:
-            results.append(result)
+        for result in batch.results
+    ]
+    slopes = [c.normalized_slope for c in classifications]
+    populations = [c.trailing_mean for c in classifications]
     return StabilityTrialResult(
         label=label or params.describe().splitlines()[0],
         params=params,
@@ -811,7 +805,7 @@ def run_stability_trial(
         empirical_verdict=majority_verdict(classifications),
         mean_normalized_slope=float(np.mean(slopes)) if slopes else 0.0,
         mean_population=float(np.mean(populations)) if populations else 0.0,
-        results=results,
+        results=list(batch.results) if keep_results else [],
     )
 
 
@@ -825,14 +819,18 @@ class SweepResult:
     def table_rows(self) -> List[Tuple[str, str, str, float, float]]:
         return [trial.row() for trial in self.trials]
 
-    def agreement_fraction(self) -> float:
-        """Fraction of non-borderline trials whose verdicts agree with theory."""
-        decisive = [
+    def _decisive_trials(self) -> List[StabilityTrialResult]:
+        """Trials with a non-borderline theory and a conclusive verdict."""
+        return [
             trial
             for trial in self.trials
             if trial.theory.verdict is not Stability.BORDERLINE
             and trial.empirical_verdict is not TrajectoryVerdict.INCONCLUSIVE
         ]
+
+    def agreement_fraction(self) -> float:
+        """Fraction of decisive trials whose verdicts agree with theory."""
+        decisive = self._decisive_trials()
         if not decisive:
             return 0.0
         agreeing = sum(1 for trial in decisive if trial.agrees_with_theory)
@@ -840,14 +838,7 @@ class SweepResult:
 
     def all_decisive_agree(self) -> bool:
         """True when every decisive trial matches the theoretical verdict."""
-        for trial in self.trials:
-            if trial.theory.verdict is Stability.BORDERLINE:
-                continue
-            if trial.empirical_verdict is TrajectoryVerdict.INCONCLUSIVE:
-                continue
-            if not trial.agrees_with_theory:
-                return False
-        return True
+        return all(trial.agrees_with_theory for trial in self._decisive_trials())
 
 
 def run_sweep(

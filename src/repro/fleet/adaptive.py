@@ -98,8 +98,6 @@ class AdaptiveFleetSpec:
     max_population: Optional[int] = 5_000
     backend: str = "array"
     initial_club_size: int = 30
-    capture_fraction: float = 0.5
-    capture_min_club: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_rates", tuple(self.arrival_rates))
@@ -189,7 +187,7 @@ class AdaptiveFleetSpec:
 
         Sampler and scenario mix are unused (the driver builds tasks from
         the acquisition's cell choices); the worker-side helpers only read
-        run controls and capture thresholds from it.
+        run controls from it.
         """
         return FleetSpec(
             name=self.name,
@@ -202,8 +200,6 @@ class AdaptiveFleetSpec:
             max_population=self.max_population,
             backend=self.backend,
             initial_club_size=self.initial_club_size,
-            capture_fraction=self.capture_fraction,
-            capture_min_club=self.capture_min_club,
         )
 
 

@@ -26,8 +26,9 @@ sibling temp file, is fsync'd, renamed into place with ``os.replace``, and
 the directory is fsync'd so the rename itself survives power loss.  The
 previous checkpoint is retained as ``<name>.bak`` before each overwrite;
 :func:`load_checkpoint` falls back to it (with a warning) if the primary is
-corrupt — so a crash *or* bit rot during/after a checkpoint write costs at
-most one checkpoint interval of re-run work, never the run.
+corrupt, which a SHA-256 of the pickle, written ahead of it, detects — so a
+crash *or* bit rot during/after a checkpoint write costs at most one
+checkpoint interval of re-run work, never the run.
 
 The log file travels as a *sibling file name*, resolved against the
 checkpoint's directory, so a checkpoint+log pair can be moved together.
@@ -35,6 +36,7 @@ checkpoint's directory, so a checkpoint+log pair can be moved together.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import warnings
@@ -50,6 +52,11 @@ from .persistence import FleetLogError
 #: this module and carries its *own* format tag, checked by
 #: :meth:`repro.swarm.swarm._SwarmEventLoop.restore_state`.
 CHECKPOINT_FORMAT = 3
+
+#: Leads every checkpoint file, followed by the SHA-256 digest of the pickle
+#: after it: flipped bytes inside a pickled value can still unpickle, into a
+#: wrong value.  A file without the prefix is read as a bare pickle.
+_CHECKSUM_PREFIX = b"fleet-checkpoint sha256\n"
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -146,7 +153,8 @@ def save_checkpoint(
     target.parent.mkdir(parents=True, exist_ok=True)
     ordinal = faults.next_checkpoint_ordinal() if faults is not None else -1
     temp = target.with_name(target.name + ".tmp")
-    payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+    pickled = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = _CHECKSUM_PREFIX + hashlib.sha256(pickled).digest() + pickled
     if faults is not None and faults.take_checkpoint_crash(ordinal):
         temp.write_bytes(payload[: max(1, len(payload) // 2)])
         raise InjectedCheckpointCrash(
@@ -170,8 +178,13 @@ def save_checkpoint(
 
 
 def _load_checkpoint_file(path: Path) -> FleetCheckpoint:
-    with path.open("rb") as handle:
-        checkpoint = pickle.load(handle)
+    data = path.read_bytes()
+    if data.startswith(_CHECKSUM_PREFIX):
+        start = len(_CHECKSUM_PREFIX) + hashlib.sha256().digest_size
+        digest, data = data[len(_CHECKSUM_PREFIX) : start], data[start:]
+        if hashlib.sha256(data).digest() != digest:
+            raise ValueError(f"{path} does not match its SHA-256 checksum")
+    checkpoint = pickle.loads(data)
     if not isinstance(checkpoint, FleetCheckpoint):
         raise ValueError(f"{path} does not contain a FleetCheckpoint")
     if checkpoint.format != CHECKPOINT_FORMAT:

@@ -8,8 +8,8 @@ scheduler feeds records (in swarm-index order) into a :class:`FleetResult`,
 which maintains the fleet-level census incrementally:
 
 * **one-club prevalence** — the fraction of swarms captured by the
-  missing-piece regime (final club ≥ ``capture_fraction`` of the population
-  and ≥ ``capture_min_club`` peers),
+  missing-piece regime (:func:`~repro.markov.classify.is_captured` of the
+  final one-club and population),
 * **sojourn / download-time distributions** — summed fixed-bin histograms,
 * **theory-vs-outcome confusion counts** — the scenario-aware Theorem-1
   verdict (piecewise over schedule segments; ``out-of-theory`` for classed
@@ -32,7 +32,7 @@ import numpy as np
 from ..analysis.tables import format_table
 from ..core.schedule_stability import piecewise_stability
 from ..core.stability import analyze
-from ..markov.classify import classify_trajectory
+from ..markov.classify import classify_trajectory, is_captured
 from ..swarm.swarm import SwarmResult
 from .spec import FleetSpec, SwarmTask
 
@@ -131,7 +131,11 @@ def theory_verdict(task: SwarmTask) -> str:
 def record_from_result(
     task: SwarmTask, spec: FleetSpec, result: SwarmResult
 ) -> FleetSwarmRecord:
-    """Reduce one swarm's outcome to its fleet record (worker-side)."""
+    """Reduce one swarm's outcome to its fleet record (worker-side).
+
+    ``spec`` is unused (the capture rule is :func:`is_captured`); the
+    signature is kept for its callers.
+    """
     metrics = result.metrics
     peak_arrival = (
         task.scenario.peak_arrival_rate
@@ -144,10 +148,6 @@ def record_from_result(
     final_population = metrics.final_population
     final_one_club = metrics.one_club_size[-1] if metrics.one_club_size else 0
     final_seeds = metrics.num_seeds[-1] if metrics.num_seeds else 0
-    captured = (
-        final_one_club >= spec.capture_min_club
-        and final_one_club >= spec.capture_fraction * max(final_population, 1)
-    )
     return FleetSwarmRecord(
         index=task.index,
         scenario=task.scenario_label,
@@ -157,7 +157,7 @@ def record_from_result(
         seed_departure_rate=task.params.seed_departure_rate,
         theory=theory_verdict(task),
         empirical=classification.verdict.value,
-        captured=captured,
+        captured=is_captured(final_one_club, final_population),
         final_population=final_population,
         final_one_club=final_one_club,
         final_seeds=final_seeds,

@@ -15,6 +15,9 @@ call.  The frozen :class:`FleetSpec` bundles
   homogeneous workload,
 * and the shared run controls (horizon, event/population caps, backend).
 
+Whether a swarm ends *captured* is not a spec field: every fleet applies
+the one rule :func:`~repro.markov.classify.is_captured`.
+
 :func:`materialize_tasks` turns a spec plus one master seed into the
 deterministic list of per-swarm :class:`SwarmTask`\\ s.  Seeding follows the
 :class:`~repro.experiments.runner.BatchRunner` contract: the master seed
@@ -230,11 +233,6 @@ class FleetSpec:
     #: Pre-seed every swarm with a one-club of this size (0 = start empty);
     #: in classed scenarios the pre-seeded peers belong to class 0.
     initial_club_size: int = 0
-    #: A swarm counts as *captured* when its final one-club holds at least
-    #: ``capture_fraction`` of the final population and at least
-    #: ``capture_min_club`` peers.
-    capture_fraction: float = 0.5
-    capture_min_club: int = 10
 
     def __post_init__(self) -> None:
         if self.num_swarms < 1:
@@ -247,8 +245,6 @@ class FleetSpec:
             )
         if self.initial_club_size < 0:
             raise ValueError("initial_club_size must be >= 0")
-        if not 0.0 < self.capture_fraction <= 1.0:
-            raise ValueError("capture_fraction must be in (0, 1]")
         object.__setattr__(self, "scenario_mix", tuple(self.scenario_mix))
 
     def mix_cumprobs(self) -> Optional[np.ndarray]:

@@ -23,6 +23,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..analysis.statistics import linear_slope, trailing_window
+
+#: Normalised tail slope above which a run is declared unstable.
+GROWTH_THRESHOLD = 0.15
+#: Normalised tail slope below which a run may be declared stable (provided
+#: the trailing minimum shows the process keeps returning to low levels).
+STABLE_THRESHOLD = 0.05
+#: A swarm is *captured* when its final one-club holds at least this fraction
+#: of the final population ...
+CAPTURE_FRACTION = 0.5
+#: ... and at least this many peers.
+CAPTURE_MIN_CLUB = 10
+
 
 class TrajectoryVerdict(Enum):
     """Empirical verdict for one simulated trajectory."""
@@ -48,8 +61,6 @@ def classify_trajectory(
     population: Sequence[float],
     arrival_rate: float,
     last_fraction: float = 0.5,
-    growth_threshold: float = 0.15,
-    stable_threshold: float = 0.05,
 ) -> TrajectoryClassification:
     """Classify a population trajectory.
 
@@ -61,11 +72,6 @@ def classify_trajectory(
         Total arrival rate ``λ_total``, used to normalise the growth slope.
     last_fraction:
         Portion of the run (from the end) used for the statistics.
-    growth_threshold:
-        Normalised slope above which the run is declared unstable.
-    stable_threshold:
-        Normalised slope below which the run is declared stable (provided the
-        trailing minimum shows the process keeps returning to low levels).
     """
     t = np.asarray(times, dtype=float)
     n = np.asarray(population, dtype=float)
@@ -81,20 +87,8 @@ def classify_trajectory(
         )
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")
-    start = int(round((1.0 - last_fraction) * t.size))
-    t_tail = t[start:]
-    n_tail = n[start:]
-    if np.ptp(t_tail) == 0:
-        slope = 0.0
-    else:
-        # Closed-form simple-regression slope, cov(t, n) / var(t).  This is
-        # the same least-squares line ``np.polyfit(t_tail, n_tail, 1)``
-        # solves for, without the rank-checked SVD machinery — the fleet
-        # aggregator classifies every finished swarm, and polyfit's lstsq
-        # setup dominated that path.
-        t_centered = t_tail - t_tail.mean()
-        slope = float(np.dot(t_centered, n_tail) / np.dot(t_centered, t_centered))
-    normalized = float(slope) / arrival_rate
+    n_tail = trailing_window(n, last_fraction)
+    normalized = linear_slope(trailing_window(t, last_fraction), n_tail) / arrival_rate
     trailing_mean = float(n_tail.mean())
     trailing_min = float(n_tail.min())
     peak = float(n.max())
@@ -107,13 +101,13 @@ def classify_trajectory(
     cumulative_arrivals = max(arrival_rate * duration, 1e-12)
     occupancy_ratio = trailing_mean / cumulative_arrivals
 
-    if normalized > growth_threshold and occupancy_ratio > 0.12:
+    if normalized > GROWTH_THRESHOLD and occupancy_ratio > 0.12:
         verdict = TrajectoryVerdict.UNSTABLE
     elif occupancy_ratio < 0.08:
         verdict = TrajectoryVerdict.STABLE
-    elif normalized < stable_threshold and trailing_min <= max(2.0 * arrival_rate, 0.5 * trailing_mean + 5.0):
+    elif normalized < STABLE_THRESHOLD and trailing_min <= max(2.0 * arrival_rate, 0.5 * trailing_mean + 5.0):
         verdict = TrajectoryVerdict.STABLE
-    elif normalized < stable_threshold:
+    elif normalized < STABLE_THRESHOLD:
         # Slope is flat but the floor has ratcheted up: call it stable only if
         # the population is not still far above its earlier levels.
         verdict = (
@@ -129,6 +123,19 @@ def classify_trajectory(
         trailing_mean=trailing_mean,
         trailing_minimum=trailing_min,
         peak=peak,
+    )
+
+
+def is_captured(final_one_club: int, final_population: int) -> bool:
+    """Whether the one-club still holds the swarm at the end of a run: the
+    missing-piece-syndrome flag every fleet record and capture census reads.
+
+    True when the final one-club has at least :data:`CAPTURE_MIN_CLUB` peers
+    and at least :data:`CAPTURE_FRACTION` of the final population.
+    """
+    return (
+        final_one_club >= CAPTURE_MIN_CLUB
+        and final_one_club >= CAPTURE_FRACTION * max(final_population, 1)
     )
 
 
@@ -153,5 +160,6 @@ __all__ = [
     "TrajectoryVerdict",
     "TrajectoryClassification",
     "classify_trajectory",
+    "is_captured",
     "majority_verdict",
 ]

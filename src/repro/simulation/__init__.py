@@ -7,22 +7,15 @@
 """
 
 from .ctmc import CtmcTrajectory, GenericCtmcSimulator, MarkovChainSimulator
-from .processes import (
-    CompoundPoissonProcess,
-    MarkedPoissonProcess,
-    kingman_exceedance_bound,
-    thin_poisson_times,
-)
+from .processes import CompoundPoissonProcess, kingman_exceedance_bound
 from .rng import make_rng, spawn_generators
 
 __all__ = [
     "CompoundPoissonProcess",
     "CtmcTrajectory",
     "GenericCtmcSimulator",
-    "MarkedPoissonProcess",
     "MarkovChainSimulator",
     "kingman_exceedance_bound",
     "make_rng",
     "spawn_generators",
-    "thin_poisson_times",
 ]

@@ -1,20 +1,17 @@
-"""Point-process utilities: Poisson, compound Poisson, thinning.
+"""Point-process utilities: compound Poisson and Kingman's bound.
 
 These back the appendix results used in the transience proof:
 
 * :class:`CompoundPoissonProcess` — batches arriving at Poisson times, the
   object of Kingman's moment bound (Proposition 20); the ABS download-counting
   process ``D̂̂`` is of this form.
-* :func:`thin_poisson_times` — thinning of a Poisson process, the coupling
-  device used throughout the proof of Lemma 2.
-* :class:`MarkedPoissonProcess` — a superposition of independent Poisson
-  streams with marks, used for the multi-type arrival process of the swarm.
+* :func:`kingman_exceedance_bound` — that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,70 +112,8 @@ def kingman_exceedance_bound(
     return min(1.0, bound)
 
 
-def thin_poisson_times(
-    times: Sequence[float],
-    keep_probability: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Keep each point independently with probability ``keep_probability``."""
-    if not 0.0 <= keep_probability <= 1.0:
-        raise ValueError("keep_probability must lie in [0, 1]")
-    array = np.asarray(times, dtype=float)
-    if array.size == 0:
-        return array
-    mask = rng.uniform(size=array.size) < keep_probability
-    return array[mask]
-
-
-class MarkedPoissonProcess:
-    """Superposition of independent Poisson streams, one per mark.
-
-    Used for the type-``C`` arrival processes: each mark (a peer type) has its
-    own rate, and :meth:`sample` returns the merged, time-ordered sequence of
-    ``(time, mark)`` pairs over a horizon.
-    """
-
-    def __init__(self, rates: Dict[Hashable, float]):
-        for mark, rate in rates.items():
-            if rate < 0:
-                raise ValueError(f"rate for mark {mark!r} is negative")
-        self.rates = dict(rates)
-
-    @property
-    def total_rate(self) -> float:
-        return sum(self.rates.values())
-
-    def sample(
-        self, horizon: float, seed: SeedLike = None
-    ) -> List[Tuple[float, Hashable]]:
-        rng = make_rng(seed)
-        events: List[Tuple[float, Hashable]] = []
-        for mark, rate in self.rates.items():
-            for time in poisson_arrival_times(rng, rate, horizon):
-                events.append((float(time), mark))
-        events.sort(key=lambda pair: pair[0])
-        return events
-
-    def next_mark(self, rng: np.random.Generator) -> Tuple[float, Hashable]:
-        """Sample the waiting time to the next event and its mark."""
-        total = self.total_rate
-        if total <= 0:
-            return float("inf"), None
-        wait = rng.exponential(1.0 / total)
-        threshold = rng.uniform(0.0, total)
-        cumulative = 0.0
-        marks = list(self.rates)
-        for mark in marks:
-            cumulative += self.rates[mark]
-            if threshold <= cumulative:
-                return wait, mark
-        return wait, marks[-1]
-
-
 __all__ = [
     "CompoundPoissonProcess",
     "CompoundPoissonSample",
-    "MarkedPoissonProcess",
     "kingman_exceedance_bound",
-    "thin_poisson_times",
 ]

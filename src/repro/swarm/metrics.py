@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..analysis.statistics import linear_slope, trailing_window
 from .groups import GroupSnapshot
 
 
@@ -106,9 +107,6 @@ class SwarmMetrics:
     def population_array(self) -> np.ndarray:
         return np.asarray(self.population, dtype=float)
 
-    def one_club_array(self) -> np.ndarray:
-        return np.asarray(self.one_club_size, dtype=float)
-
     # -- summaries --------------------------------------------------------------
 
     @property
@@ -121,11 +119,9 @@ class SwarmMetrics:
 
     def mean_population(self, last_fraction: float = 0.5) -> float:
         """Mean population over the trailing ``last_fraction`` of samples."""
-        values = self.population_array()
-        if values.size == 0:
+        if not self.population:
             return 0.0
-        start = int(round((1.0 - last_fraction) * values.size))
-        return float(values[start:].mean())
+        return float(trailing_window(self.population, last_fraction).mean())
 
     def population_slope(self, last_fraction: float = 0.5) -> float:
         """Least-squares slope of ``n(t)`` over the trailing portion of the run.
@@ -134,31 +130,18 @@ class SwarmMetrics:
         linear growth characteristic of transience; a slope near zero with a
         bounded population indicates stability.
         """
-        times = self.times_array()
-        values = self.population_array()
-        if times.size < 3:
-            return 0.0
-        start = int(round((1.0 - last_fraction) * times.size))
-        t = times[start:]
-        y = values[start:]
-        if t.size < 3 or np.ptp(t) == 0:
-            return 0.0
-        slope, _intercept = np.polyfit(t, y, 1)
-        return float(slope)
+        return self._tail_slope(self.population, last_fraction)
 
     def one_club_slope(self, last_fraction: float = 0.5) -> float:
         """Least-squares slope of the one-club size over the trailing portion."""
-        times = self.times_array()
-        values = self.one_club_array()
+        return self._tail_slope(self.one_club_size, last_fraction)
+
+    def _tail_slope(self, values: List[int], last_fraction: float) -> float:
+        """Trend of ``values`` over the trailing window; 0 below three samples."""
+        times = trailing_window(self.sample_times, last_fraction)
         if times.size < 3:
             return 0.0
-        start = int(round((1.0 - last_fraction) * times.size))
-        t = times[start:]
-        y = values[start:]
-        if t.size < 3 or np.ptp(t) == 0:
-            return 0.0
-        slope, _intercept = np.polyfit(t, y, 1)
-        return float(slope)
+        return linear_slope(times, trailing_window(values, last_fraction))
 
     def mean_sojourn_time(self) -> float:
         if not self.sojourn_times:

@@ -49,6 +49,13 @@ class TestStatistics:
         assert linear_slope([1.0], [2.0]) == 0.0
         assert linear_slope([1.0, 1.0], [2.0, 3.0]) == 0.0
 
+    def test_linear_slope_matches_polyfit(self, rng):
+        for size in (2, 3, 7, 50, 400):
+            times = np.sort(rng.uniform(0.0, 100.0, size))
+            values = rng.normal(size=size) * 50.0 + rng.uniform(-3, 3) * times
+            expected = np.polyfit(times, values, 1)[0]
+            assert linear_slope(times, values) == pytest.approx(expected, rel=1e-12)
+
     def test_trailing_window(self):
         data = list(range(10))
         assert list(trailing_window(data, 0.5)) == [5, 6, 7, 8, 9]

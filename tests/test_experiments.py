@@ -1,6 +1,7 @@
 """Tests for the experiment harness and (quick versions of) each experiment."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,12 @@ from repro.experiments.mu_infinity_exp import run_mu_infinity_experiment
 from repro.experiments.one_club import run_one_club_experiment
 from repro.experiments.policy import run_policy_experiment
 from repro.experiments.queueing_exp import run_queueing_bounds_experiment
-from repro.experiments.runner import run_stability_trial, run_sweep
+from repro.experiments.runner import (
+    StabilityTrialResult,
+    SweepResult,
+    run_stability_trial,
+    run_sweep,
+)
 from repro.markov.classify import TrajectoryVerdict
 
 
@@ -64,6 +70,34 @@ class TestRunner:
         assert len(sweep.trials) == 2
         assert 0.0 <= sweep.agreement_fraction() <= 1.0
         assert len(sweep.table_rows()) == 2
+
+    def test_sweep_counts_only_decisive_trials(self):
+        def trial(theory, empirical):
+            return StabilityTrialResult(
+                label="",
+                params=None,
+                theory=SimpleNamespace(verdict=theory),
+                classifications=[],
+                empirical_verdict=empirical,
+                mean_normalized_slope=0.0,
+                mean_population=0.0,
+            )
+
+        stable, unstable = Stability.STABLE, Stability.UNSTABLE
+        undecided = [
+            trial(Stability.BORDERLINE, TrajectoryVerdict.STABLE),
+            trial(stable, TrajectoryVerdict.INCONCLUSIVE),
+        ]
+        none_decisive = SweepResult("none", undecided)
+        assert none_decisive.agreement_fraction() == 0.0
+        assert none_decisive.all_decisive_agree()
+        agreeing = trial(stable, TrajectoryVerdict.STABLE)
+        assert SweepResult("agree", undecided + [agreeing]).all_decisive_agree()
+        mixed = SweepResult(
+            "mixed", undecided + [agreeing, trial(unstable, TrajectoryVerdict.STABLE)]
+        )
+        assert mixed.agreement_fraction() == 0.5
+        assert not mixed.all_decisive_agree()
 
     def test_keep_results_option(self, flash_crowd_stable):
         trial = run_stability_trial(

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -608,6 +609,21 @@ class TestCrashAtomicCheckpoints:
         save_checkpoint(path, _checkpoint(1), keep_previous=False)
         corrupt_file_bytes(path)
         with pytest.raises(Exception):
+            load_checkpoint(path)
+
+    def test_flipped_value_bytes_fail_the_checksum(self, tmp_path):
+        """Bytes flipped inside a pickled float still unpickle, into a wrong
+        horizon; the checksum refuses the file instead."""
+        path = tmp_path / "cp"
+        checkpoint = _checkpoint(1)
+        checkpoint.spec = small_spec()
+        save_checkpoint(path, checkpoint, keep_previous=False)
+        data = bytearray(path.read_bytes())
+        start = data.index(struct.pack(">d", checkpoint.spec.horizon))
+        for position in range(start, start + 8):
+            data[position] ^= 0xFF
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="checksum"):
             load_checkpoint(path)
 
     def test_fresh_run_initial_checkpoint_clears_stale_backup(self, tmp_path):

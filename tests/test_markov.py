@@ -12,8 +12,10 @@ from repro.markov.chain import (
     uniformized_transition_matrix,
 )
 from repro.markov.classify import (
+    TrajectoryClassification,
     TrajectoryVerdict,
     classify_trajectory,
+    is_captured,
     majority_verdict,
 )
 from repro.markov.foster import (
@@ -191,6 +193,49 @@ class TestTrajectoryClassification:
         population = 10 + 0.01 * times
         result = classify_trajectory(times, population, arrival_rate=2.0)
         assert result.verdict is not TrajectoryVerdict.UNSTABLE
+
+    # Recorded when the classifier still fitted its own tail slope; compared
+    # with ``==``, so the shared window and trend fit must keep every bit.
+    _T = [0.5 * i for i in range(120)]
+    _PINNED = [
+        (
+            _T,
+            [12 + (7 * i) % 11 - (i % 4) for i in range(120)],
+            4.0,
+            TrajectoryClassification(
+                TrajectoryVerdict.STABLE, 0.0010836343428730203, 15.5, 9.0, 22.0
+            ),
+        ),
+        (
+            _T,
+            [3 + int(1.5 * i) + (i % 5) for i in range(120)],
+            2.0,
+            TrajectoryClassification(
+                TrajectoryVerdict.UNSTABLE, 1.5062517365934982, 139.0, 93.0, 185.0
+            ),
+        ),
+        (
+            [0.0, 0.7, 1.9, 3.1, 4.3],
+            [3, 6, 4, 7, 5],
+            1.3,
+            TrajectoryClassification(
+                TrajectoryVerdict.UNSTABLE, 0.32051282051282, 5.333333333333333, 4.0, 7.0
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "times, population, rate, expected", _PINNED, ids=["stable", "unstable", "short"]
+    )
+    def test_pinned_classifications(self, times, population, rate, expected):
+        assert classify_trajectory(times, population, arrival_rate=rate) == expected
+
+    def test_capture_boundaries(self):
+        assert is_captured(10, 20)
+        assert not is_captured(9, 20)
+        assert not is_captured(10, 21)
+        assert is_captured(10, 0)
+        assert not is_captured(9, 0)
 
     def test_majority_verdict(self):
         stable = classify_trajectory(

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.ctmc import GenericCtmcSimulator, MarkovChainSimulator
-from repro.simulation.processes import (
-    CompoundPoissonProcess,
-    MarkedPoissonProcess,
-    kingman_exceedance_bound,
-    thin_poisson_times,
-)
+from repro.simulation.processes import CompoundPoissonProcess, kingman_exceedance_bound
 from repro.simulation.rng import (
     exponential,
     make_rng,
@@ -87,34 +82,7 @@ class TestProcesses:
         # Slope below the drift makes the bound vacuous.
         assert kingman_exceedance_bound(1.0, 2.0, 6.0, offset=20.0, slope=1.0) == 1.0
 
-    def test_thinning_keeps_subset(self, rng):
-        times = np.linspace(0, 10, 100)
-        kept = thin_poisson_times(times, 0.3, rng)
-        assert set(kept).issubset(set(times))
-        assert kept.size < times.size
-        with pytest.raises(ValueError):
-            thin_poisson_times(times, 1.5, rng)
-
-    def test_marked_poisson_superposition(self, rng):
-        process = MarkedPoissonProcess({"a": 1.0, "b": 3.0})
-        events = process.sample(horizon=200.0, seed=rng)
-        times = [t for t, _ in events]
-        assert times == sorted(times)
-        marks = [m for _, m in events]
-        ratio = marks.count("b") / max(marks.count("a"), 1)
-        assert ratio == pytest.approx(3.0, rel=0.3)
-
-    def test_marked_poisson_next_mark(self, rng):
-        process = MarkedPoissonProcess({"a": 2.0})
-        wait, mark = process.next_mark(rng)
-        assert wait > 0 and mark == "a"
-        empty = MarkedPoissonProcess({})
-        wait, mark = empty.next_mark(rng)
-        assert math.isinf(wait) and mark is None
-
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            MarkedPoissonProcess({"a": -1.0})
         with pytest.raises(ValueError):
             CompoundPoissonProcess(-1.0, lambda rng, n: np.ones(n))
 

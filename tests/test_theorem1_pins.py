@@ -28,6 +28,7 @@ from repro.core.stability import (
     critical_arrival_scale,
     critical_departure_rate,
     critical_seed_rate,
+    analyze,
     delta_s,
     minimum_mean_dwell_time,
     piece_threshold,
@@ -64,10 +65,8 @@ def figures(params):
         "critical_arrival_scale": critical_arrival_scale(params),
         "critical_seed_rate": critical_seed_rate(params),
     }
-    if PieceSet.full(params.num_pieces) not in params.arrival_rates:
-        # critical_departure_rate probes gamma = inf, where lambda_F must be 0.
-        out["critical_departure_rate"] = critical_departure_rate(params)
-        out["minimum_mean_dwell_time"] = minimum_mean_dwell_time(params)
+    out["critical_departure_rate"] = critical_departure_rate(params)
+    out["minimum_mean_dwell_time"] = minimum_mean_dwell_time(params)
     for piece in range(1, params.num_pieces + 1):
         out[f"piece_threshold[{piece}]"] = piece_threshold(params, piece)
     if params.mu_over_gamma < 1.0:
@@ -127,6 +126,8 @@ PINNED = {
     "full-type-k2": {
         "critical_arrival_scale": 1.3333333333333333,
         "critical_seed_rate": 0.375,
+        "critical_departure_rate": 2.5,
+        "minimum_mean_dwell_time": 0.4,
         "piece_threshold[1]": 1.5,
         "piece_threshold[2]": 1.5,
         "delta_s[[]]": -0.25,
@@ -227,3 +228,17 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_figures_are_pinned(name):
     assert figures(GRID[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_critical_departure_rate_is_the_boundary(name):
+    """Stable just below ``γ*`` and not just above it; ``γ* = ∞`` only when
+    the point is stable at every ``γ``."""
+    params = GRID[name]
+    gamma_star = critical_departure_rate(params)
+    if math.isinf(gamma_star):
+        for gamma in (0.25, 1.0, 4.0, 1e6):
+            assert analyze(params.with_departure_rate(gamma)).is_stable
+        return
+    assert analyze(params.with_departure_rate(gamma_star * (1 - 1e-9))).is_stable
+    assert not analyze(params.with_departure_rate(gamma_star * (1 + 1e-9))).is_stable
