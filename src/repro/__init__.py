@@ -22,42 +22,49 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparisons.
 """
 
-from .core import (
-    PieceSet,
-    Stability,
-    StabilityReport,
-    SystemParameters,
-    SystemState,
-    analyze,
-    critical_departure_rate,
-    critical_seed_rate,
-    delta_s,
-    is_stable,
-    is_unstable,
-    minimum_mean_dwell_time,
-    piece_threshold,
-    stability_margin,
-    uniform_single_piece_rates,
-)
-from .fleet import (
-    AdaptiveFleetDriver,
-    AdaptiveFleetSpec,
-    FleetResult,
-    FleetScheduler,
-    FleetSpec,
-    resume_adaptive_fleet,
-    resume_fleet,
-    run_adaptive_fleet,
-    run_fleet,
-)
-from .swarm import (
-    RandomUsefulSelection,
-    RarestFirstSelection,
-    SequentialSelection,
-    SwarmResult,
-    SwarmSimulator,
-    make_policy,
-    run_swarm,
+from . import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "PieceSet",
+            "Stability",
+            "StabilityReport",
+            "SystemParameters",
+            "SystemState",
+            "analyze",
+            "critical_departure_rate",
+            "critical_seed_rate",
+            "delta_s",
+            "is_stable",
+            "is_unstable",
+            "minimum_mean_dwell_time",
+            "piece_threshold",
+            "stability_margin",
+            "uniform_single_piece_rates",
+        ),
+        ".fleet": (
+            "AdaptiveFleetDriver",
+            "AdaptiveFleetSpec",
+            "FleetResult",
+            "FleetScheduler",
+            "FleetSpec",
+            "resume_adaptive_fleet",
+            "resume_fleet",
+            "run_adaptive_fleet",
+            "run_fleet",
+        ),
+        ".swarm": (
+            "RandomUsefulSelection",
+            "RarestFirstSelection",
+            "SequentialSelection",
+            "SwarmResult",
+            "SwarmSimulator",
+            "make_policy",
+            "run_swarm",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

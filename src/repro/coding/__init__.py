@@ -5,7 +5,14 @@
   the peer "types" of the network-coded system (Section VIII-B).
 """
 
-from .gf import PrimeField, is_prime
-from .subspace import Subspace, random_subspace, rref
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".gf": ("PrimeField", "is_prime"),
+        ".subspace": ("Subspace", "random_subspace", "rref"),
+    },
+)
 
 __all__ = ["PrimeField", "Subspace", "is_prime", "random_subspace", "rref"]

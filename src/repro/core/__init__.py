@@ -20,40 +20,47 @@ Sub-modules:
   (piecewise verdicts per schedule segment, conservative whole-run verdict).
 """
 
-from .parameters import SystemParameters, uniform_single_piece_rates
-from .scenario import (
-    PeerClass,
-    RateSchedule,
-    ScenarioSpec,
-    base_params,
-    flash_exit_scenario,
-    make_scenario,
-    partitioned_scenario,
-    register_scenario,
-    registered_scenarios,
-    sparse_overlay_scenario,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".parameters": ("SystemParameters", "uniform_single_piece_rates"),
+        ".scenario": (
+            "PeerClass",
+            "RateSchedule",
+            "ScenarioSpec",
+            "base_params",
+            "flash_exit_scenario",
+            "make_scenario",
+            "partitioned_scenario",
+            "register_scenario",
+            "registered_scenarios",
+            "sparse_overlay_scenario",
+        ),
+        ".schedule_stability": (
+            "OUT_OF_THEORY",
+            "ScheduleStabilityReport",
+            "SegmentVerdict",
+            "piecewise_stability",
+        ),
+        ".stability": (
+            "Stability",
+            "StabilityReport",
+            "analyze",
+            "critical_departure_rate",
+            "critical_seed_rate",
+            "delta_s",
+            "is_stable",
+            "is_unstable",
+            "minimum_mean_dwell_time",
+            "piece_threshold",
+            "stability_margin",
+        ),
+        ".state": ("SystemState",),
+        ".types": ("PieceSet", "all_types", "format_type", "one_club_type"),
+    },
 )
-from .schedule_stability import (
-    OUT_OF_THEORY,
-    ScheduleStabilityReport,
-    SegmentVerdict,
-    piecewise_stability,
-)
-from .stability import (
-    Stability,
-    StabilityReport,
-    analyze,
-    critical_departure_rate,
-    critical_seed_rate,
-    delta_s,
-    is_stable,
-    is_unstable,
-    minimum_mean_dwell_time,
-    piece_threshold,
-    stability_margin,
-)
-from .state import SystemState
-from .types import PieceSet, all_types, format_type, one_club_type
 
 __all__ = [
     "OUT_OF_THEORY",

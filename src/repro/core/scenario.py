@@ -41,7 +41,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -51,12 +50,10 @@ from typing import (
     Tuple,
 )
 
+from ..swarm.gossip import CensusSpec
+from ..swarm.topology import TopologySpec
 from .parameters import SystemParameters
 from .types import PieceSet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (swarm -> scenario)
-    from ..swarm.gossip import CensusSpec
-    from ..swarm.topology import TopologySpec
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +300,6 @@ class ScenarioSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        # Imported lazily: repro.swarm imports this module at package-init
-        # time (same cycle guard as the topology import above).
-        from ..swarm.gossip import CensusSpec
-
         object.__setattr__(self, "census", CensusSpec.coerce(self.census))
         if self.cull_time is not None:
             if not self.cull_time > 0:
@@ -743,9 +736,6 @@ def sparse_overlay_scenario(
     :data:`repro.swarm.topology.TOPOLOGY_KINDS` (``"complete"`` reduces to
     the legacy uniform-contact swarm on the shared base parameters).
     """
-    # Imported lazily: repro.swarm imports this module at package-init time.
-    from ..swarm.topology import TopologySpec
-
     spec = TopologySpec(kind=topology, degree=degree, max_degree=max_degree)
     return ScenarioSpec(
         name="sparse-overlay",
@@ -769,8 +759,6 @@ def partitioned_scenario(
     """Weakly-bridged overlay components: arrivals are assigned round-robin
     to ``num_components`` clusters and wire ``degree`` edges, each crossing
     components with probability ``bridge_prob``."""
-    from ..swarm.topology import TopologySpec
-
     return ScenarioSpec(
         name="partitioned",
         params=base_params(**params_kwargs),
@@ -804,8 +792,6 @@ def flash_exit_scenario(
     """
     topo = None
     if topology is not None and topology != "complete":
-        from ..swarm.topology import TopologySpec
-
         topo = TopologySpec(kind=topology, degree=degree)
     return ScenarioSpec(
         name="flash-exit",

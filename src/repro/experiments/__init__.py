@@ -26,42 +26,37 @@ harness plus the batched :func:`~repro.experiments.runner.run_scenario`
 entry point; fleets run through :mod:`repro.fleet`.
 """
 
-from .coding import CodingResult, run_coding_experiment
-from .dwell_time import DwellTimeResult, run_dwell_time_experiment
-from .example1 import Example1Result, run_example1
-from .example2 import Example2Result, run_example2
-from .example3 import Example3Result, run_example3
-from .fleet import (
-    FleetPhaseDiagramResult,
-    PhaseCell,
-    run_fleet_phase_diagram,
-)
-from .gossip import (
-    GossipCell,
-    GossipCensusResult,
-    run_gossip_census_experiment,
-)
-from .lyapunov_exp import LyapunovResult, run_lyapunov_experiment
-from .mu_infinity_exp import MuInfinityResult, run_mu_infinity_experiment
-from .one_club import OneClubResult, run_one_club_experiment
-from .policy import PolicyResult, run_policy_experiment
-from .queueing_exp import QueueingBoundsResult, run_queueing_bounds_experiment
-from .runner import (
-    StabilityTrialResult,
-    SweepResult,
-    run_scenario,
-    run_stability_trial,
-    run_sweep,
-)
-from .scenarios import (
-    ScenarioDynamicsResult,
-    ScenarioDynamicsRun,
-    run_scenario_dynamics,
-)
-from .topology import (
-    TopologyCell,
-    TopologySweepResult,
-    run_topology_sweep,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".coding": ("CodingResult", "run_coding_experiment"),
+        ".dwell_time": ("DwellTimeResult", "run_dwell_time_experiment"),
+        ".example1": ("Example1Result", "run_example1"),
+        ".example2": ("Example2Result", "run_example2"),
+        ".example3": ("Example3Result", "run_example3"),
+        ".fleet": ("FleetPhaseDiagramResult", "PhaseCell", "run_fleet_phase_diagram"),
+        ".gossip": ("GossipCell", "GossipCensusResult", "run_gossip_census_experiment"),
+        ".lyapunov_exp": ("LyapunovResult", "run_lyapunov_experiment"),
+        ".mu_infinity_exp": ("MuInfinityResult", "run_mu_infinity_experiment"),
+        ".one_club": ("OneClubResult", "run_one_club_experiment"),
+        ".policy": ("PolicyResult", "run_policy_experiment"),
+        ".queueing_exp": ("QueueingBoundsResult", "run_queueing_bounds_experiment"),
+        ".runner": (
+            "StabilityTrialResult",
+            "SweepResult",
+            "run_scenario",
+            "run_stability_trial",
+            "run_sweep",
+        ),
+        ".scenarios": (
+            "ScenarioDynamicsResult",
+            "ScenarioDynamicsRun",
+            "run_scenario_dynamics",
+        ),
+        ".topology": ("TopologyCell", "TopologySweepResult", "run_topology_sweep"),
+    },
 )
 
 __all__ = [

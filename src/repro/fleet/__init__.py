@@ -38,63 +38,70 @@ The fleet-level experiments (uniform and adaptive capture phase diagrams
 over the Theorem-1 boundary) live in :mod:`repro.experiments.fleet`.
 """
 
-from .adaptive import (
-    AdaptiveFleetDriver,
-    AdaptiveFleetResult,
-    AdaptiveFleetSpec,
-    CaptureGrid,
-    CellKey,
-    RoundSummary,
-    beta_mean_variance,
-    resume_adaptive_fleet,
-    run_adaptive_fleet,
-)
-from .checkpoint import (
-    FleetCheckpoint,
-    default_log_path,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .faults import (
-    FaultPlan,
-    InjectedCheckpointCrash,
-    InjectedFault,
-    InjectedFsyncFailure,
-    InjectedTaskError,
-    InjectedTornWrite,
-    InjectedWorkerCrash,
-    WORKER_CRASH_EXIT_CODE,
-)
-from .persistence import (
-    FLEET_LOG_SCHEMA,
-    FleetLog,
-    FleetLogError,
-    FleetLogHeader,
-    FleetLogWriter,
-    read_log,
-    tail_summary,
-)
-from .result import (
-    FleetResult,
-    FleetSwarmRecord,
-    failure_record,
-    record_from_result,
-    theory_verdict,
-)
-from .scheduler import FleetScheduler, resume_fleet, run_fleet
-from .spec import (
-    FixedSampler,
-    FleetSpec,
-    GridSampler,
-    PLAIN_LABEL,
-    ParameterSampler,
-    RandomSampler,
-    SAMPLABLE_FIELDS,
-    ScenarioWeight,
-    SwarmTask,
-    materialize_tasks,
-    normalize_fleet_seed,
-    task_for_point,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".adaptive": (
+            "AdaptiveFleetDriver",
+            "AdaptiveFleetResult",
+            "AdaptiveFleetSpec",
+            "CaptureGrid",
+            "CellKey",
+            "RoundSummary",
+            "beta_mean_variance",
+            "resume_adaptive_fleet",
+            "run_adaptive_fleet",
+        ),
+        ".checkpoint": (
+            "FleetCheckpoint",
+            "default_log_path",
+            "load_checkpoint",
+            "save_checkpoint",
+        ),
+        ".faults": (
+            "FaultPlan",
+            "InjectedCheckpointCrash",
+            "InjectedFault",
+            "InjectedFsyncFailure",
+            "InjectedTaskError",
+            "InjectedTornWrite",
+            "InjectedWorkerCrash",
+            "WORKER_CRASH_EXIT_CODE",
+        ),
+        ".persistence": (
+            "FLEET_LOG_SCHEMA",
+            "FleetLog",
+            "FleetLogError",
+            "FleetLogHeader",
+            "FleetLogWriter",
+            "read_log",
+            "tail_summary",
+        ),
+        ".result": (
+            "FleetResult",
+            "FleetSwarmRecord",
+            "failure_record",
+            "record_from_result",
+            "theory_verdict",
+        ),
+        ".scheduler": ("FleetScheduler", "resume_fleet", "run_fleet"),
+        ".spec": (
+            "FixedSampler",
+            "FleetSpec",
+            "GridSampler",
+            "PLAIN_LABEL",
+            "ParameterSampler",
+            "RandomSampler",
+            "SAMPLABLE_FIELDS",
+            "ScenarioWeight",
+            "SwarmTask",
+            "materialize_tasks",
+            "normalize_fleet_seed",
+            "task_for_point",
+        ),
+    },
 )
 
 __all__ = [

@@ -51,6 +51,12 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.state import SystemState
+from ..experiments.runner import (
+    SupervisedPool,
+    TaskFailure,
+    _check_supervision,
+    map_tasks,
+)
 from ..simulation.rng import SeedLike
 from ..swarm.swarm import make_simulator, unsupported_option
 from .checkpoint import (
@@ -304,8 +310,6 @@ class PersistentFleetExecution:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if fsync_every_n < 1:
             raise ValueError(f"fsync_every_n must be >= 1, got {fsync_every_n}")
-        from ..experiments.runner import _check_supervision
-
         _check_supervision(
             "fleet execution", max_retries, task_timeout, retry_backoff
         )
@@ -481,8 +485,6 @@ class PersistentFleetExecution:
         run_chunk = _run_stacked_chunk if self.stacked else _run_fleet_chunk
         pool = None
         if (self.workers or 0) > 1:
-            from ..experiments.runner import SupervisedPool
-
             # One pool serves every round; its workers start at the first
             # round that takes the pool path.
             pool = SupervisedPool(
@@ -632,8 +634,6 @@ class PersistentFleetExecution:
         swarm costs only its own record (degraded to a ``failed`` record),
         never its chunk-mates; otherwise the chunk's error is raised.
         """
-        from ..experiments.runner import TaskFailure, map_tasks
-
         outcomes = map_tasks(
             run_chunk,
             chunks,
@@ -659,8 +659,6 @@ class PersistentFleetExecution:
         schema-versioned ``failed`` record (with the final error and
         attempt count) instead of poisoning the run.
         """
-        from ..experiments.runner import TaskFailure, map_tasks
-
         outcomes = map_tasks(
             _run_fleet_chunk,
             [(spec, [task], plan) for task in tasks],

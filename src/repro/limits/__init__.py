@@ -5,12 +5,19 @@
 * :mod:`repro.limits.fluid` — the deterministic fluid ODE limit.
 """
 
-from .fluid import FluidModel, FluidTrajectory
-from .mu_infinity import (
-    MuInfinityChain,
-    MuInfinityState,
-    finite_mu_symmetric_chain_simulation,
-    negative_binomial_pmf,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".fluid": ("FluidModel", "FluidTrajectory"),
+        ".mu_infinity": (
+            "MuInfinityChain",
+            "MuInfinityState",
+            "finite_mu_symmetric_chain_simulation",
+            "negative_binomial_pmf",
+        ),
+    },
 )
 
 __all__ = [

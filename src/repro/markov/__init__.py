@@ -8,24 +8,31 @@
   simulated trajectories.
 """
 
-from .chain import (
-    build_generator,
-    expected_hitting_times,
-    stationary_distribution,
-    transient_distribution,
-    uniformized_transition_matrix,
-)
-from .classify import (
-    TrajectoryClassification,
-    TrajectoryVerdict,
-    classify_trajectory,
-    majority_verdict,
-)
-from .foster import (
-    FosterCheckResult,
-    check_foster_lyapunov,
-    drift,
-    lipschitz_drift_bound,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".chain": (
+            "build_generator",
+            "expected_hitting_times",
+            "stationary_distribution",
+            "transient_distribution",
+            "uniformized_transition_matrix",
+        ),
+        ".classify": (
+            "TrajectoryClassification",
+            "TrajectoryVerdict",
+            "classify_trajectory",
+            "majority_verdict",
+        ),
+        ".foster": (
+            "FosterCheckResult",
+            "check_foster_lyapunov",
+            "drift",
+            "lipschitz_drift_bound",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,17 +6,24 @@
   :mod:`repro.simulation.processes` and is re-exported here for convenience.
 """
 
-from ..simulation.processes import (
-    CompoundPoissonProcess,
-    kingman_exceedance_bound,
-)
-from .mgi_inf import (
-    MGInfinityQueue,
-    MGInfinityTrajectory,
-    erlang_plus_exponential_mean,
-    erlang_plus_exponential_sampler,
-    maximal_exceedance_bound,
-    stationary_mean,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        "..simulation.processes": (
+            "CompoundPoissonProcess",
+            "kingman_exceedance_bound",
+        ),
+        ".mgi_inf": (
+            "MGInfinityQueue",
+            "MGInfinityTrajectory",
+            "erlang_plus_exponential_mean",
+            "erlang_plus_exponential_sampler",
+            "maximal_exceedance_bound",
+            "stationary_mean",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,9 +6,16 @@
 * :mod:`repro.simulation.rng` — reproducible random streams.
 """
 
-from .ctmc import CtmcTrajectory, GenericCtmcSimulator, MarkovChainSimulator
-from .processes import CompoundPoissonProcess, kingman_exceedance_bound
-from .rng import make_rng, spawn_generators
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".ctmc": ("CtmcTrajectory", "GenericCtmcSimulator", "MarkovChainSimulator"),
+        ".processes": ("CompoundPoissonProcess", "kingman_exceedance_bound"),
+        ".rng": ("make_rng", "spawn_generators"),
+    },
+)
 
 __all__ = [
     "CompoundPoissonProcess",

@@ -21,51 +21,58 @@ Backend selection goes through :func:`repro.swarm.swarm.make_simulator` /
 ``run_swarm(..., backend="object" | "array")``.
 """
 
-from .drawbuf import DEFAULT_BLOCK_SIZE, DrawBuffer
-from .gossip import (
-    CENSUS_KINDS,
-    CensusSpec,
-    GossipCensus,
-    GossipState,
-    build_gossip,
-)
-from .groups import GroupSnapshot, PeerGroup, classify_peer, group_counts
-from .kernel import ArraySwarmKernel
-from .metrics import SwarmMetrics
-from .network_coding import (
-    CodedArrivalSpec,
-    CodedSwarmResult,
-    CodedSwarmSimulator,
-    gifted_fraction_arrivals,
-)
-from .peer import Peer
-from .policies import (
-    CallablePolicy,
-    CensusSource,
-    MostCommonFirstSelection,
-    OracleCensus,
-    PieceSelectionPolicy,
-    RandomUsefulSelection,
-    RarestFirstSelection,
-    SequentialSelection,
-    SwarmView,
-    make_policy,
-    registered_policies,
-)
-from .stacked import StackedSwarmKernel
-from .topology import (
-    TOPOLOGY_KINDS,
-    OverlayState,
-    TopologySpec,
-    build_overlay,
-)
-from .swarm import (
-    BACKENDS,
-    MAX_ARRAY_BACKEND_PIECES,
-    SwarmResult,
-    SwarmSimulator,
-    make_simulator,
-    run_swarm,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__,
+    {
+        ".drawbuf": ("DEFAULT_BLOCK_SIZE", "DrawBuffer"),
+        ".gossip": (
+            "CENSUS_KINDS",
+            "CensusSpec",
+            "GossipCensus",
+            "GossipState",
+            "build_gossip",
+        ),
+        ".groups": ("GroupSnapshot", "PeerGroup", "classify_peer", "group_counts"),
+        ".kernel": ("ArraySwarmKernel",),
+        ".metrics": ("SwarmMetrics",),
+        ".network_coding": (
+            "CodedArrivalSpec",
+            "CodedSwarmResult",
+            "CodedSwarmSimulator",
+            "gifted_fraction_arrivals",
+        ),
+        ".peer": ("Peer",),
+        ".policies": (
+            "CallablePolicy",
+            "CensusSource",
+            "MostCommonFirstSelection",
+            "OracleCensus",
+            "PieceSelectionPolicy",
+            "RandomUsefulSelection",
+            "RarestFirstSelection",
+            "SequentialSelection",
+            "SwarmView",
+            "make_policy",
+            "registered_policies",
+        ),
+        ".stacked": ("StackedSwarmKernel",),
+        ".topology": (
+            "TOPOLOGY_KINDS",
+            "OverlayState",
+            "TopologySpec",
+            "build_overlay",
+        ),
+        ".swarm": (
+            "BACKENDS",
+            "MAX_ARRAY_BACKEND_PIECES",
+            "SwarmResult",
+            "SwarmSimulator",
+            "make_simulator",
+            "run_swarm",
+        ),
+    },
 )
 
 __all__ = [

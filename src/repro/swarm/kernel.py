@@ -14,12 +14,14 @@ structure of arrays (SoA) instead of one Python object per peer:
   and sped-up swap-remove lists (``-1`` when absent).
 
 The numpy columns are the one store.  The scalar per-event path reads and
-writes the mask column through ``_mask_view``, a zero-copy ``memoryview``
-of ``_masks`` (indexing it yields a plain Python int, at about half the
-cost of ``ndarray.item``); ``_bind_mask_view`` rebinds it wherever
-``_masks`` is rebound (reset, growth, a stacked lane's adoption into the
-shared sheet), so no view outlives its array.  The vectorised paths — the
-batch stage's escalation, the census, snapshots — use the arrays, and no
+writes every per-row column through a zero-copy ``memoryview`` of it
+(``_mask_view`` for ``_masks``, ``_<column>_view`` for the others):
+indexing one yields a plain Python int, float or bool, at about half the
+cost of ``ndarray.item``, and assigning through one skips numpy's scalar
+conversion.  ``_bind_views`` rebinds them all wherever a column is rebound
+(reset, growth, a stacked lane's adoption into the shared sheet), so no
+view outlives its array.  The vectorised paths — the batch stage's
+escalation, the census, bulk seeding, snapshots — use the arrays, and no
 memoryview reaches a snapshot.
 
 Rows are dense: peer ``i`` lives in row ``i`` for ``i < population``.  A
@@ -101,8 +103,11 @@ from .swarm import _SwarmEventLoop, _pick_from_segments
 _MAX_ARRAY_PIECES = 64
 
 #: Candidates the batch stage's scalar walk looks at before it escalates to
-#: the array classification of the whole pending block.
+#: the array classification of the pending block.
 _PROBE_WINDOW = 16
+#: Candidates the escalation classifies first, past the walk's window; only
+#: a run that outlasts them classifies the rest of the block.
+_ESCALATION_WINDOW = 4 * _PROBE_WINDOW
 #: A probe that batches fewer events than this counts as unproductive and
 #: backs the yield gate off (see :meth:`ArraySwarmKernel._batch_stage`).
 _PROBE_MIN_YIELD = 2
@@ -202,7 +207,6 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._was_one_club = np.zeros(capacity, dtype=np.bool_)
         self._seed_slot = np.full(capacity, -1, dtype=np.int64)
         self._sped_slot = np.full(capacity, -1, dtype=np.int64)
-        self._bind_mask_view()
         self._n = 0  # live rows: peers occupy rows 0.._n-1
         self._seeds: List[int] = []  # row indices of peer seeds (gamma < inf)
         self._sped: List[int] = []  # row indices of sped-up peers
@@ -231,6 +235,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
             # member list mutates, so the batch ticker cache can keep the
             # row arrays of untouched classes across rebuilds.
             self._class_member_revs = [0] * len(self._classes)
+        self._bind_views()
         self._view = SwarmView(
             num_pieces=self.params.num_pieces,
             census=self._make_census(),
@@ -297,16 +302,26 @@ class ArraySwarmKernel(_SwarmEventLoop):
             else:
                 grown[len(old) :] = 0
             setattr(self, name, grown)
-        self._bind_mask_view()
+        self._bind_views()
 
-    def _bind_mask_view(self) -> None:
-        """Bind ``_mask_view``, the scalar path's memoryview of ``_masks``.
+    def _bind_views(self) -> None:
+        """Bind the scalar path's memoryviews of the per-row columns.
 
-        Called wherever ``_masks`` is rebound (reset, growth, the stacked
-        sheet's adoption), so the view always aliases the live column: a
-        view left on a replaced array would silently drop writes.
+        Called wherever a column is rebound (reset, growth, the stacked
+        sheet's adoption), so every view aliases its live column: a view
+        left on a replaced array would silently drop writes.
         """
         self._mask_view = memoryview(self._masks)
+        self._arrival_time_view = memoryview(self._arrival_time)
+        self._completed_at_view = memoryview(self._completed_at)
+        self._arrived_with_rare_view = memoryview(self._arrived_with_rare)
+        self._infected_view = memoryview(self._infected)
+        self._was_one_club_view = memoryview(self._was_one_club)
+        self._seed_slot_view = memoryview(self._seed_slot)
+        self._sped_slot_view = memoryview(self._sped_slot)
+        if self._classes is not None:
+            self._class_idx_view = memoryview(self._class_idx)
+            self._member_slot_view = memoryview(self._member_slot)
 
     def _add_peer(self, mask: int, class_index: int = 0) -> int:
         if self._n == len(self._masks):
@@ -315,17 +330,17 @@ class ArraySwarmKernel(_SwarmEventLoop):
         row = self._n
         self._n += 1
         self._mask_view[row] = mask
-        self._arrival_time[row] = self._time
-        self._completed_at[row] = np.nan
-        self._arrived_with_rare[row] = bool(mask & self._rare_bit)
-        self._infected[row] = False
-        self._was_one_club[row] = False
-        self._seed_slot[row] = -1
-        self._sped_slot[row] = -1
+        self._arrival_time_view[row] = self._time
+        self._completed_at_view[row] = math.nan
+        self._arrived_with_rare_view[row] = bool(mask & self._rare_bit)
+        self._infected_view[row] = False
+        self._was_one_club_view[row] = False
+        self._seed_slot_view[row] = -1
+        self._sped_slot_view[row] = -1
         if self._classes is not None:
-            self._class_idx[row] = class_index
+            self._class_idx_view[row] = class_index
             members = self._class_members[class_index]
-            self._member_slot[row] = len(members)
+            self._member_slot_view[row] = len(members)
             members.append(row)
             self._class_member_revs[class_index] += 1
             bufs = self._class_member_bufs
@@ -368,9 +383,11 @@ class ArraySwarmKernel(_SwarmEventLoop):
             # Same swap-remove move on the estimate rows.
             self._gossip.on_departure(row)
         self._membership_version += 1
-        arrival = float(self._arrival_time[row])
+        arrival_time = self._arrival_time_view
+        completed_at = self._completed_at_view
+        arrival = arrival_time[row]
         sojourn = self._time - arrival
-        completed = float(self._completed_at[row])
+        completed = completed_at[row]
         mask_view = self._mask_view
         mask = mask_view[row]
         bits = mask
@@ -381,20 +398,24 @@ class ArraySwarmKernel(_SwarmEventLoop):
             bits ^= low
         if mask == self._club_mask:
             self._one_club_count -= 1
-        if self._seed_slot[row] >= 0:
+        seed_slots = self._seed_slot_view
+        sped_slots = self._sped_slot_view
+        if seed_slots[row] >= 0:
             self._remove_seed(row)
-        if self._sped_slot[row] >= 0:
+        if sped_slots[row] >= 0:
             self._discard_sped(row)
         hetero = self._classes is not None
         if hetero:
-            row_class = int(self._class_idx[row])
+            class_idx = self._class_idx_view
+            member_slots = self._member_slot_view
+            row_class = class_idx[row]
             members = self._class_members[row_class]
-            member_index = int(self._member_slot[row])
-            self._member_slot[row] = -1
+            member_index = member_slots[row]
+            member_slots[row] = -1
             last_member = members.pop()
             if last_member != row:
                 members[member_index] = last_member
-                self._member_slot[last_member] = member_index
+                member_slots[last_member] = member_index
                 bufs = self._class_member_bufs
                 if bufs is not None:
                     bufs[row_class][member_index] = last_member
@@ -405,29 +426,32 @@ class ArraySwarmKernel(_SwarmEventLoop):
         self._n = last
         if row != last:
             mask_view[row] = mask_view[last]
-            self._arrival_time[row] = self._arrival_time[last]
-            self._completed_at[row] = self._completed_at[last]
-            self._arrived_with_rare[row] = self._arrived_with_rare[last]
-            self._infected[row] = self._infected[last]
-            self._was_one_club[row] = self._was_one_club[last]
+            arrival_time[row] = arrival_time[last]
+            completed_at[row] = completed_at[last]
+            gifted = self._arrived_with_rare_view
+            gifted[row] = gifted[last]
+            infected = self._infected_view
+            infected[row] = infected[last]
+            was_one_club = self._was_one_club_view
+            was_one_club[row] = was_one_club[last]
             if hetero:
-                last_class = int(self._class_idx[last])
-                self._class_idx[row] = last_class
-                member_slot = int(self._member_slot[last])
-                self._member_slot[row] = member_slot
-                self._member_slot[last] = -1
+                last_class = class_idx[last]
+                class_idx[row] = last_class
+                member_slot = member_slots[last]
+                member_slots[row] = member_slot
+                member_slots[last] = -1
                 if member_slot >= 0:
                     self._class_members[last_class][member_slot] = row
                     self._class_member_revs[last_class] += 1
                     bufs = self._class_member_bufs
                     if bufs is not None:
                         bufs[last_class][member_slot] = row
-            seed_slot = int(self._seed_slot[last])
-            self._seed_slot[row] = seed_slot
+            seed_slot = seed_slots[last]
+            seed_slots[row] = seed_slot
             if seed_slot >= 0:
                 self._seed_list_of(last)[seed_slot] = row
-            sped_slot = int(self._sped_slot[last])
-            self._sped_slot[row] = sped_slot
+            sped_slot = sped_slots[last]
+            sped_slots[row] = sped_slot
             if sped_slot >= 0:
                 self._sped_list_of(last)[sped_slot] = row
         self._rates_dirty = True
@@ -439,46 +463,49 @@ class ArraySwarmKernel(_SwarmEventLoop):
     def _seed_list_of(self, row: int) -> List[int]:
         if self._classes is None:
             return self._seeds
-        return self._class_seeds[int(self._class_idx[row])]
+        return self._class_seeds[self._class_idx_view[row]]
 
     def _sped_list_of(self, row: int) -> List[int]:
         if self._classes is None:
             return self._sped
-        return self._class_sped[int(self._class_idx[row])]
+        return self._class_sped[self._class_idx_view[row]]
 
     def _add_seed(self, row: int) -> None:
         seeds = self._seed_list_of(row)
-        self._seed_slot[row] = len(seeds)
+        self._seed_slot_view[row] = len(seeds)
         seeds.append(row)
         self._rates_dirty = True
 
     def _remove_seed(self, row: int) -> None:
         seeds = self._seed_list_of(row)
-        index = int(self._seed_slot[row])
-        self._seed_slot[row] = -1
+        slots = self._seed_slot_view
+        index = slots[row]
+        slots[row] = -1
         last_row = seeds.pop()
         if last_row != row:
             seeds[index] = last_row
-            self._seed_slot[last_row] = index
+            slots[last_row] = index
         self._rates_dirty = True
 
     def _add_sped(self, row: int) -> None:
-        if self._sped_slot[row] < 0:
+        slots = self._sped_slot_view
+        if slots[row] < 0:
             sped = self._sped_list_of(row)
-            self._sped_slot[row] = len(sped)
+            slots[row] = len(sped)
             sped.append(row)
             self._rates_dirty = True
 
     def _discard_sped(self, row: int) -> None:
-        index = int(self._sped_slot[row])
+        slots = self._sped_slot_view
+        index = slots[row]
         if index < 0:
             return
         sped = self._sped_list_of(row)
-        self._sped_slot[row] = -1
+        slots[row] = -1
         last_row = sped.pop()
         if last_row != row:
             sped[index] = last_row
-            self._sped_slot[last_row] = index
+            slots[last_row] = index
         self._rates_dirty = True
 
     # -- snapshot hooks ----------------------------------------------------------
@@ -668,15 +695,15 @@ class ArraySwarmKernel(_SwarmEventLoop):
             )
         rare = self.rare_piece
         if downloader_mask == self._club_mask:
-            self._was_one_club[row] = True
+            self._was_one_club_view[row] = True
             self._one_club_count -= 1
         if (
             piece == rare
-            and not self._arrived_with_rare.item(row)
+            and not self._arrived_with_rare_view[row]
             and self.params.num_pieces - downloader_mask.bit_count() >= 2
-            and not self._infected.item(row)
+            and not self._infected_view[row]
         ):
-            self._infected[row] = True
+            self._infected_view[row] = True
         new_mask = downloader_mask | piece_bit
         masks[row] = new_mask
         if new_mask == self._club_mask:
@@ -688,11 +715,11 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if from_seed:
             self.metrics.total_seed_uploads += 1
         if new_mask == self._full_mask:
-            self._completed_at[row] = self._time
+            self._completed_at_view[row] = self._time
             departs = (
                 self._immediate_departure
                 if self._classes is None
-                else self._classes[self._class_idx.item(row)].immediate_departure
+                else self._classes[self._class_idx_view[row]].immediate_departure
             )
             if departs:
                 self._remove_peer(row)
@@ -782,7 +809,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         rest of ``_handle_peer_tick`` (gossip, then the transfer's piece
         pick when the contact is useful)."""
         # A ticking peer's speedup (if any) is consumed by this tick.
-        if self._sped_slot.item(uploader) >= 0:
+        if self._sped_slot_view[uploader] >= 0:
             self._discard_sped(uploader)
         if self._gossip is not None:
             # One gossip uniform per peer tick, after the ticker/target
@@ -952,8 +979,8 @@ class ArraySwarmKernel(_SwarmEventLoop):
         stop inside the window and their run is applied without any array
         setup.  Only a walk that fills the window escalates to
         :meth:`_leading_wasted`, the same classification with array ops
-        over the whole pending block, which is what keeps the long runs of
-        a large captured swarm cheap.
+        over the rest of the pending block, which is what keeps the long
+        runs of a large captured swarm cheap.
 
         **Yield gate.**  In the stable regime most contacts move a piece, so
         the walk nearly always stops at its first candidate.  Even that
@@ -1079,10 +1106,33 @@ class ArraySwarmKernel(_SwarmEventLoop):
     def _leading_wasted(self, candidates: int) -> int:
         """The number of leading wasted peer ticks among the next
         ``candidates`` four-draw groups of the pending block: the batch
-        stage's walk, with array ops over the whole block."""
+        stage's walk, continued with array ops.
+
+        The walk has just found the first ``_PROBE_WINDOW`` candidates
+        wasted, so the classification starts after them.  It covers
+        ``_ESCALATION_WINDOW`` candidates first and the rest of the block
+        only when the run outlasts them: most escalated runs end within a
+        few windows, and each numpy call costs more the longer its block.
+        """
+        start = _PROBE_WINDOW
+        stop = min(start + _ESCALATION_WINDOW, candidates)
+        while start < stop:
+            wasted = self._wasted_ticks(start, stop)
+            if wasted is None:
+                return 0
+            bad = np.flatnonzero(~wasted)
+            if bad.size:
+                return start + int(bad[0])
+            start, stop = stop, candidates
+        return candidates
+
+    def _wasted_ticks(self, start: int, stop: int) -> Optional[np.ndarray]:
+        """Whether each of the pending four-draw groups ``start`` to
+        ``stop`` is a wasted peer tick (``None`` when no classed peer can
+        tick)."""
         n = self._n
         total = self._rate_total
-        chunk = self.draws.uniforms_view(4 * candidates)
+        chunk = self.draws.uniforms_view(4 * stop)[4 * start :]
         masks = self._masks
         overlay = self._overlay
         selector = chunk[1::4] * total
@@ -1090,7 +1140,7 @@ class ArraySwarmKernel(_SwarmEventLoop):
         if self._classes is not None:
             ticker = self._batch_hetero_tickers(chunk[2::4])
             if ticker is None:
-                return 0
+                return None
         else:
             ticker = (chunk[2::4] * n).astype(np.int64)
             np.minimum(ticker, n - 1, out=ticker)
@@ -1105,14 +1155,11 @@ class ArraySwarmKernel(_SwarmEventLoop):
             np.maximum(index, 0, out=index)
             target = overlay.adj[ticker, index]
             useless = (masks[ticker] & ~masks[target]) == 0
-            ok = is_peer_tick & ((degree == 0) | useless)
-        else:
-            target = (chunk[3::4] * n).astype(np.int64)
-            np.minimum(target, n - 1, out=target)
-            useless = (masks[ticker] & ~masks[target]) == 0
-            ok = is_peer_tick & ((ticker == target) | useless)
-        bad = np.flatnonzero(~ok)
-        return int(bad[0]) if bad.size else candidates
+            return is_peer_tick & ((degree == 0) | useless)
+        target = (chunk[3::4] * n).astype(np.int64)
+        np.minimum(target, n - 1, out=target)
+        useless = (masks[ticker] & ~masks[target]) == 0
+        return is_peer_tick & ((ticker == target) | useless)
 
     # -- sampling ---------------------------------------------------------------
 

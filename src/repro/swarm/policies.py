@@ -160,14 +160,6 @@ def _mask_bits(mask: int) -> List[int]:
     return bits
 
 
-def _nth_set_bit(mask: int, index: int) -> int:
-    """1-based position of the ``index``-th (0-based) set bit of ``mask``."""
-    while index:
-        mask &= mask - 1
-        index -= 1
-    return (mask & -mask).bit_length()
-
-
 class PieceSelectionPolicy(abc.ABC):
     """Interface for piece-selection policies.
 
@@ -235,7 +227,13 @@ class RandomUsefulSelection(PieceSelectionPolicy):
         useful = uploader_mask & ~downloader_mask
         if not useful:
             return None
-        return _nth_set_bit(useful, int(rng.integers(useful.bit_count())))
+        # Clear the lowest set bits up to the drawn one; its 1-based position
+        # is the piece.
+        index = int(rng.integers(useful.bit_count()))
+        while index:
+            useful &= useful - 1
+            index -= 1
+        return (useful & -useful).bit_length()
 
 
 class RarestFirstSelection(PieceSelectionPolicy):

@@ -208,12 +208,12 @@ class StackedSwarmKernel:
                 base = other._sheet_base
                 if other is not lane:
                     other._masks = sheet[base : base + len(other._masks)]
-                    other._bind_mask_view()
+                    other._bind_views()
         base = self._sheet_used
         self._sheet_used = base + capacity
         self._sheet[base : base + capacity] = masks
         lane._masks = self._sheet[base : base + capacity]
-        lane._bind_mask_view()
+        lane._bind_views()
         lane._sheet_base = base
 
     def add_lane(

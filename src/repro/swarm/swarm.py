@@ -476,7 +476,7 @@ class _SwarmEventLoop:
         if self._classes is None:
             if self._immediate_departure:
                 return 0.0
-            return self._seed_departure_rate * self.num_seeds
+            return self._seed_departure_rate * len(self._seeds)
         total = 0.0
         for cls, seeds in zip(self._classes, self._class_seeds):
             if seeds and not cls.immediate_departure:
@@ -1425,9 +1425,7 @@ def make_simulator(
                 f"supports at most {MAX_ARRAY_BACKEND_PIECES} pieces, got "
                 f"K={params.num_pieces}; use backend='object' for larger K"
             )
-        from .kernel import ArraySwarmKernel
-
-        return ArraySwarmKernel(params, policy=policy, seed=seed, **kwargs)
+        return _kernel.ArraySwarmKernel(params, policy=policy, seed=seed, **kwargs)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
@@ -1510,3 +1508,8 @@ __all__ = [
     "run_swarm",
     "unsupported_option",
 ]
+
+# The array backend, bound last: kernel.py subclasses this module's event
+# loop, so it loads once the loop is defined, whichever module is imported
+# first, and make_simulator runs no import.
+from . import kernel as _kernel  # noqa: E402

@@ -1,4 +1,4 @@
-"""The import contract: scipy is loaded only by the helpers that use it.
+"""The import contract: each entry point loads only what its call runs.
 
 Every entry point a user starts from (``repro``, ``repro.experiments.*``,
 ``repro.fleet.*``) and every simulation, Theorem-1 trial and fleet call runs
@@ -6,14 +6,26 @@ without scipy: the exact-chain helpers (``repro.markov.chain``), the limit
 solvers (``repro.limits.fluid``, ``repro.limits.mu_infinity``) and the
 confidence interval (``repro.analysis.statistics``) import it inside the
 function that needs it; the truncated chain (``repro.core.generator``) loads
-it only through the exact-chain helpers.  Each check runs in a fresh
-interpreter, because the test process has scipy loaded already.
+it only through the exact-chain helpers.
+
+The package's own subsystems follow the same rule.  Every package
+``__init__`` exports its names lazily (PEP 562, :mod:`repro._lazy`), so
+importing one module loads that module's imports and nothing a sibling
+re-exports; and each entry module imports, when it loads, every module its
+call runs, so no ``repro`` module is imported inside a timed call.
+
+Each check runs in a fresh interpreter, because the test process has scipy
+and most of the package loaded already.
 
 * ``TestWithoutScipy`` sets ``sys.modules["scipy"] = None`` before importing
   the package, so any scipy import raises, and runs tiny user calls;
 * ``TestLazyHelpersFromCold`` checks that scipy is not loaded until a moved
   helper's first call, and that the call returns what scipy itself computes
-  in the same process.
+  in the same process;
+* ``TestImportClosure`` checks which ``repro`` modules the trial and fleet
+  entry modules load, that their calls load none, and that every name in
+  every package's ``__all__`` resolves, star-imports and is listed by
+  ``dir()``.
 """
 
 import os
@@ -239,3 +251,139 @@ class TestLazyHelpersFromCold:
         body = body.replace("cold\n", f"assert not {_SCIPY_LOADED}\n")
         body = body.replace("warm\n", f"assert {_SCIPY_LOADED}\n")
         _run_child(_HELPER_PRELUDE + body + 'print("ok")\n', tmp_path)
+
+
+# -- each entry point loads only the modules its call runs --------------------
+
+_LOADED = """
+import sys
+
+def loaded(*prefixes):
+    return sorted(
+        name for name in sys.modules
+        if any(name == p or name.startswith(p + ".") for p in prefixes)
+    )
+"""
+
+#: Subsystems no trial or fleet runs: network coding, the limit solvers,
+#: the queueing bounds and the generic CTMC simulator.
+_UNUSED_BY_SIMULATION = (
+    "repro.swarm.network_coding",
+    "repro.coding",
+    "repro.limits",
+    "repro.queueing",
+    "repro.simulation.ctmc",
+)
+
+_CLOSURES = {
+    "runner": (
+        """
+        import repro.experiments.runner
+        """,
+        _UNUSED_BY_SIMULATION
+        + (
+            "repro.fleet",
+            "repro.swarm.stacked",
+            "repro.core.generator",
+            "repro.core.lyapunov",
+        ),
+        ("repro.experiments.runner",),
+    ),
+    "fleet": (
+        """
+        import repro.fleet.scheduler
+        import repro.fleet.adaptive
+        import repro.experiments.fleet
+        """,
+        _UNUSED_BY_SIMULATION,
+        ("repro.experiments.fleet", "repro.experiments.runner"),
+    ),
+}
+
+#: Tiny user calls: each snapshots ``sys.modules`` after its imports and
+#: checks the call itself loads no ``repro`` module.
+_QUIET_CALLS = {
+    "run_stability_trial": """
+        from repro import SystemParameters
+        from repro.experiments.runner import run_stability_trial
+        params = SystemParameters.flash_crowd(3, arrival_rate=1.0, seed_rate=2.0)
+        before = set(loaded("repro"))
+        run_stability_trial(params, horizon=20.0, replications=2, seed=5,
+                            backend="array", workers=1)
+    """,
+    "run_fleet": """
+        from repro import FleetSpec, run_fleet
+        from repro.fleet import RandomSampler, ScenarioWeight
+        spec = FleetSpec(name="closure", num_swarms=6,
+                         sampler=RandomSampler.of({"arrival_rate": (1.0, 3.0)},
+                                                  num_pieces=5),
+                         scenario_mix=(ScenarioWeight.of(None),
+                                       ScenarioWeight.of("free-rider")),
+                         horizon=6.0, max_events=150, initial_club_size=10,
+                         backend="array")
+        before = set(loaded("repro"))
+        run_fleet(spec, seed=5, workers=2, checkpoint_path="fleet.ckpt")
+    """,
+    "run_adaptive_fleet": """
+        from repro import AdaptiveFleetSpec, run_adaptive_fleet
+        spec = AdaptiveFleetSpec(name="closure", arrival_rates=(0.8, 2.4),
+                                 seed_rates=(0.5,), num_pieces=5, swarm_budget=8,
+                                 round_size=4, horizon=6.0, max_events=150,
+                                 initial_club_size=10, backend="array")
+        before = set(loaded("repro"))
+        run_adaptive_fleet(spec, seed=17, workers=1)
+    """,
+}
+
+#: Every package with an ``__init__`` that exports names.
+_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.coding",
+    "repro.core",
+    "repro.experiments",
+    "repro.fleet",
+    "repro.limits",
+    "repro.markov",
+    "repro.queueing",
+    "repro.simulation",
+    "repro.swarm",
+)
+
+
+class TestImportClosure:
+    @pytest.mark.parametrize("entry", sorted(_CLOSURES))
+    def test_entry_modules_load_only_what_they_run(self, entry, tmp_path):
+        imports, forbidden, experiments = _CLOSURES[entry]
+        body = textwrap.dedent(imports.lstrip("\n")) + textwrap.dedent(f"""
+            assert not loaded(*{forbidden!r}), loaded(*{forbidden!r})
+            modules = [m for m in loaded("repro.experiments")
+                       if m != "repro.experiments"]
+            assert modules == sorted({experiments!r}), modules
+        """)
+        _run_child(_LOADED + body + 'print("ok")\n', tmp_path)
+
+    @pytest.mark.parametrize("call", sorted(_QUIET_CALLS))
+    def test_call_imports_no_repro_module(self, call, tmp_path):
+        body = textwrap.dedent(_QUIET_CALLS[call].lstrip("\n")) + textwrap.dedent("""
+            new = sorted(set(loaded("repro")) - before)
+            assert not new, new
+        """)
+        _run_child(_LOADED + body + 'print("ok")\n', tmp_path)
+
+    def test_every_export_resolves_star_imports_and_is_listed(self, tmp_path):
+        body = textwrap.dedent(f"""
+            import importlib
+            for name in {_PACKAGES!r}:
+                package = importlib.import_module(name)
+                for export in package.__all__:
+                    getattr(package, export)
+                namespace = {{}}
+                exec(f"from {{name}} import *", namespace)
+                assert set(package.__all__) <= set(namespace), name
+                missing = set(package.__all__) - set(dir(package))
+                assert not missing, (name, sorted(missing))
+            import repro
+            assert repro.fleet.run_fleet is repro.run_fleet
+        """)
+        _run_child(body + 'print("ok")\n', tmp_path)

@@ -20,7 +20,9 @@ classes and an overlay.  Runs of wasted ticks there are mostly short, so
 most batches end inside the stage's scalar walk and some fill its window and
 escalate to the array classification; both must leave the trajectory as the
 object backend draws it.  The vector ticker pick of the escalated path is
-checked against the scalar segment pick the walk shares with the dispatch.
+checked against the scalar segment pick the walk shares with the dispatch,
+and the escalation's answer, which it classifies window by window from the
+end of the walk, against a scalar classification of the whole block.
 
 The same walk runs on two scheduled captured points (flash crowd, seed
 outage), where thinning-rejected candidates interrupt the runs of wasted
@@ -40,6 +42,7 @@ from repro.core.parameters import SystemParameters
 from repro.core.scenario import base_params, make_scenario
 from repro.core.state import SystemState
 from repro.swarm.drawbuf import DEFAULT_BLOCK_SIZE
+from repro.swarm.kernel import _ESCALATION_WINDOW, _PROBE_WINDOW
 from repro.swarm.swarm import _pick_from_segments, make_simulator
 
 STABLE = SystemParameters.flash_crowd(
@@ -186,6 +189,9 @@ def test_gate_stays_out_of_the_way_when_captured():
 
 WALK_RATES = dict(num_pieces=5, arrival_rate=3.2, seed_rate=0.5)
 WALK_CLUB = 100
+#: The escalation check's club: long enough runs of wasted ticks to
+#: outlast the escalation's first window.
+ESCALATION_CLUB = 1_000
 WALK_EVENTS = 5_000
 WALK_HORIZON = 60.0
 
@@ -204,15 +210,28 @@ THINNED_POINTS = {
 }
 
 
-def _walk_run(point, backend):
-    """One run of a walk point; for the array backend also the number of
-    batches that ended inside the walk and of probes that escalated."""
+def _walk_simulator(point, backend):
     params, scenario = {**WALK_POINTS, **THINNED_POINTS}[point]
     params = params if scenario is None else scenario.params
     kwargs = {"draw_block_size": DEFAULT_BLOCK_SIZE} if backend == "array" else {}
-    simulator = make_simulator(
+    return make_simulator(
         params, seed=SEED, backend=backend, scenario=scenario, **kwargs
     )
+
+
+def _walk_from_club(simulator, club=WALK_CLUB):
+    return simulator.run(
+        WALK_HORIZON,
+        initial_state=SystemState.one_club(WALK_RATES["num_pieces"], club),
+        sample_interval=INTERVAL,
+        max_events=WALK_EVENTS,
+    )
+
+
+def _walk_run(point, backend):
+    """One run of a walk point; for the array backend also the number of
+    batches that ended inside the walk and of probes that escalated."""
+    simulator = _walk_simulator(point, backend)
     batches = {"walk": 0, "escalated": 0}
     if backend == "array":
         stage = simulator._batch_stage
@@ -227,13 +246,7 @@ def _walk_run(point, backend):
             return applied
 
         simulator._batch_stage = counted
-    result = simulator.run(
-        WALK_HORIZON,
-        initial_state=SystemState.one_club(WALK_RATES["num_pieces"], WALK_CLUB),
-        sample_interval=INTERVAL,
-        max_events=WALK_EVENTS,
-    )
-    return simulator, result, batches
+    return simulator, _walk_from_club(simulator), batches
 
 
 @pytest.mark.parametrize("point", sorted(WALK_POINTS))
@@ -258,6 +271,56 @@ def test_thinned_candidates_take_the_scalar_path(point):
     assert batches["walk"] > 0
     assert batches["escalated"] > 0
     assert kernel.events_batched <= result.metrics.wasted_contacts
+
+
+def _scalar_leading_wasted(kernel, candidates):
+    """The leading wasted peer ticks of the pending block, classified one
+    candidate at a time from candidate 0 with the walk's scalar arithmetic."""
+    uniforms = kernel.draws.uniforms_view(4 * candidates).tolist()
+    n = kernel._n
+    masks = kernel._masks[:n].tolist()
+    segments = kernel._ticker_segments() if kernel._classes is not None else None
+    overlay = kernel._overlay
+    for index in range(candidates):
+        _, selector, ticker_u, target_u = uniforms[4 * index : 4 * index + 4]
+        if not kernel._rate_r01 < selector * kernel._rate_total <= kernel._rate_r012:
+            return index
+        if segments is None:
+            ticker = min(int(ticker_u * n), n - 1)
+        else:
+            ticker = _pick_from_segments(segments, ticker_u)
+        if overlay is None:
+            target = min(int(target_u * n), n - 1)
+        else:
+            target = overlay.draw_target(ticker, target_u)
+        if target >= 0 and masks[ticker] & ~masks[target]:
+            return index
+    return candidates
+
+
+@pytest.mark.parametrize("point", sorted(WALK_POINTS))
+def test_escalation_matches_a_scalar_classification(point):
+    """Every escalated probe returns what a scalar classification of the
+    whole pending block from candidate 0 returns, on runs that end in the
+    first escalation window, past it and at the end of the block (a larger
+    club makes the runs long enough for all three)."""
+    kernel = _walk_simulator(point, "array")
+    escalate = kernel._leading_wasted
+    answers = []
+
+    def checked(candidates):
+        answer = escalate(candidates)
+        assert answer == _scalar_leading_wasted(kernel, candidates)
+        answers.append((answer, candidates))
+        return answer
+
+    kernel._leading_wasted = checked
+    result = _walk_from_club(kernel, club=ESCALATION_CLUB)
+    assert result.events_executed == WALK_EVENTS
+    first_window = _PROBE_WINDOW + _ESCALATION_WINDOW
+    assert any(answer < first_window for answer, _ in answers)
+    assert any(first_window <= answer < whole for answer, whole in answers)
+    assert any(answer == whole for answer, whole in answers)
 
 
 def test_batch_stage_counts_are_pinned():

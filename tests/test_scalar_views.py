@@ -1,17 +1,18 @@
 """The scalar path's memoryviews: kept out of snapshots, never stale.
 
 The draw buffer serves scalar draws, and the array kernel reads and writes
-its mask column, through zero-copy memoryviews over the numpy arrays that
-stay the one store.  A memoryview cannot be pickled, so none may reach a
-snapshot; and a view still bound to an array that has since been replaced
-reads old values and drops writes, so every rebinding of the mask column
-must rebind its view.  These tests pin both:
+every per-row column, through zero-copy memoryviews over the numpy arrays
+that stay the one store.  A memoryview cannot be pickled, so none may reach
+a snapshot; and a view still bound to an array that has since been replaced
+reads old values and drops writes, so every rebinding of a column must
+rebind its view.  These tests pin both:
 
 * a snapshot taken mid-block, after a run, pickles on both backends and
   resumes the uninterrupted trajectory;
-* a kernel that outgrows a 16-row column, and stacked lanes whose shared
-  mask sheet is reallocated, keep the view on the live column and stay
-  bit-identical to solo runs.
+* a kernel that outgrows a 16-row column, flat or with peer classes, one
+  restored from a snapshot larger than its columns, and stacked lanes whose
+  shared mask sheet is reallocated, keep every view on its live column and
+  stay bit-identical to the reference runs.
 
 The file also runs under ``DRAW_BLOCK_SIZE=1`` in CI.
 """
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import SystemParameters
+from repro.core.scenario import make_scenario
 from repro.core.state import SystemState
 from repro.swarm import ArraySwarmKernel, StackedSwarmKernel
 from repro.swarm.swarm import make_simulator
@@ -42,6 +44,23 @@ INTERVAL = 0.5
 EVENTS = 6_000
 SMALL = 16
 
+#: The scalar path's view of each per-row column; classed runs add
+#: ``CLASSED_VIEWS``.
+VIEWS = {
+    "_mask_view": "_masks",
+    "_arrival_time_view": "_arrival_time",
+    "_completed_at_view": "_completed_at",
+    "_arrived_with_rare_view": "_arrived_with_rare",
+    "_infected_view": "_infected",
+    "_was_one_club_view": "_was_one_club",
+    "_seed_slot_view": "_seed_slot",
+    "_sped_slot_view": "_sped_slot",
+}
+CLASSED_VIEWS = {
+    "_class_idx_view": "_class_idx",
+    "_member_slot_view": "_member_slot",
+}
+
 
 def _assert_same_run(result, reference):
     assert result.final_state == reference.final_state
@@ -53,10 +72,14 @@ def _assert_same_run(result, reference):
 
 
 def _assert_view_is_live(kernel):
-    """The kernel's scalar mask view aliases its current mask column."""
-    view = kernel._mask_view
-    assert view.obj is kernel._masks
-    assert view.tolist() == kernel._masks.tolist()
+    """Every scalar view of the kernel aliases its current column."""
+    views = dict(VIEWS)
+    if kernel._classes is not None:
+        views.update(CLASSED_VIEWS)
+    for view_name, column_name in views.items():
+        view, column = getattr(kernel, view_name), getattr(kernel, column_name)
+        assert view.obj is column, view_name
+        assert np.array_equal(np.asarray(view), column, equal_nan=True), view_name
 
 
 @pytest.mark.parametrize("backend", ["object", "array"])
@@ -85,15 +108,60 @@ def test_snapshot_pickles_mid_block(backend):
     )
 
 
-def test_grown_kernel_keeps_its_mask_view():
-    reference = make_simulator(STABLE, seed=SEED, backend="object").run(
-        HORIZON, sample_interval=INTERVAL, max_events=EVENTS
+#: A flat run and a classed one (free riders: two peer classes, so the
+#: class and member-slot columns are live too): (params, scenario).
+GROWTH_POINTS = {
+    "flat": (STABLE, None),
+    "classed": (None, make_scenario("free-rider", num_pieces=10, arrival_rate=50.0,
+                                    seed_rate=30.0)),
+}
+
+
+def _growth_point(point):
+    params, scenario = GROWTH_POINTS[point]
+    return (params if scenario is None else scenario.params), scenario
+
+
+@pytest.mark.parametrize("point", sorted(GROWTH_POINTS))
+def test_grown_kernel_keeps_its_views(point):
+    params, scenario = _growth_point(point)
+    reference = make_simulator(
+        params, seed=SEED, backend="object", scenario=scenario
+    ).run(HORIZON, sample_interval=INTERVAL, max_events=EVENTS)
+    kernel = ArraySwarmKernel(
+        params, seed=SEED, scenario=scenario, initial_capacity=SMALL
     )
-    kernel = ArraySwarmKernel(STABLE, seed=SEED, initial_capacity=SMALL)
     result = kernel.run(HORIZON, sample_interval=INTERVAL, max_events=EVENTS)
     assert len(kernel._masks) > SMALL, "the column never grew"
+    assert (kernel._classes is not None) == (scenario is not None)
     _assert_view_is_live(kernel)
     _assert_same_run(result, reference)
+
+
+@pytest.mark.parametrize("point", sorted(GROWTH_POINTS))
+def test_restored_kernel_keeps_its_views(point):
+    """A snapshot with more rows than the restoring kernel's columns grows
+    them inside the restore; the views follow, and the run resumes."""
+    params, scenario = _growth_point(point)
+    reference = make_simulator(
+        params, seed=SEED, backend="array", scenario=scenario
+    ).run(HORIZON, sample_interval=INTERVAL, max_events=EVENTS)
+    source = make_simulator(params, seed=SEED, backend="array", scenario=scenario)
+    source.run(
+        HORIZON,
+        sample_interval=INTERVAL,
+        max_events=EVENTS,
+        suspend_after_events=EVENTS // 2,
+    )
+    assert source.population > SMALL, "the snapshot fits the small columns"
+    kernel = ArraySwarmKernel(
+        params, seed=SEED + 1, scenario=scenario, initial_capacity=SMALL
+    )
+    kernel.restore_state(pickle.loads(pickle.dumps(source.capture_state())))
+    assert len(kernel._masks) > SMALL, "the restore never grew the columns"
+    _assert_view_is_live(kernel)
+    _assert_same_run(kernel.run(HORIZON, resume=True, max_events=EVENTS), reference)
+    _assert_view_is_live(kernel)
 
 
 def test_stacked_sheet_reallocation_keeps_lane_views():
